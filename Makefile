@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record allocbudget-check check bench chaos chaos-straggler
+.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record allocbudget-check perfbench-check check bench chaos chaos-straggler
 
 # The checked-in per-PR benchmark record (bench-record writes BENCH_$(PR).json).
 PR ?= 10
@@ -24,8 +24,8 @@ vet:
 
 # Repo-specific invariants (context plumbing, lock balance and ordering,
 # sorted adjacency, goroutine lifecycle, channel discipline, CAS loops, gob
-# wire safety, map-order determinism, telemetry nil guards, hot-path
-# allocation/boxing/defer/preallocation discipline, suppression hygiene).
+# wire safety, map-order determinism, hot-path allocation/boxing/defer/
+# preallocation discipline, suppression hygiene).
 # Test files are part of the unit (-tests defaults to on). See DESIGN.md
 # §9, §11, §14 + §16 and `go run ./cmd/mcevet -list`.
 lint: vet
@@ -37,6 +37,12 @@ lint: vet
 allocbudget-check:
 	$(GO) run ./cmd/mcevet -update-allocbudget
 	git diff --exit-code .mcevet/allocbudget.json
+
+# perfbench is a nested module (replace mce => ../), so the root
+# `go build ./... && go test ./...` never compiles it; this target catches an
+# internal API change that would break the benchmark build.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The whole tree runs under the race detector: the cluster runtime and the
 # engine are the hot spots, but satellite packages spawn goroutines too.
@@ -93,7 +99,7 @@ bench-baseline: build
 bench-record: build
 	$(GO) run ./cmd/mcebench -smoke -out BENCH_$(PR).json
 
-check: build fmt lint allocbudget-check test race vulncheck bench-smoke
+check: build fmt lint allocbudget-check perfbench-check test race vulncheck bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

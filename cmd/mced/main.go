@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 			return 1
 		}
 		if rebuilt {
-			met.IndexRebuilds.Inc()
+			met.Inc(telemetry.IndexRebuilds)
 			fmt.Fprintf(stderr, "mced: index was missing or corrupt; rebuilt from %s\n", *segments)
 		}
 		db = real

@@ -118,9 +118,7 @@ func (s *server) query(slot int, name string, h func(ctx context.Context, db que
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		status := s.serveQuery(w, r, h)
-		if s.cfg.met != nil {
-			s.cfg.met.EndpointObserved(slot, name, time.Since(t0), status)
-		}
+		s.cfg.met.EndpointObserved(slot, name, time.Since(t0), status)
 	}
 }
 
@@ -146,11 +144,9 @@ func (s *server) serveQuery(w http.ResponseWriter, r *http.Request, h func(ctx c
 	default:
 		return s.shed(w, met)
 	}
-	if met != nil {
-		met.QueriesAdmitted.Inc()
-		if s.rebuilding.Load() {
-			met.DegradedServes.Inc()
-		}
+	met.Inc(telemetry.QueriesAdmitted)
+	if s.rebuilding.Load() {
+		met.Inc(telemetry.DegradedServes)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.deadline)
@@ -166,18 +162,14 @@ func (s *server) serveQuery(w http.ResponseWriter, r *http.Request, h func(ctx c
 	case res := <-done:
 		return writeResult(w, res)
 	case <-ctx.Done():
-		if met != nil {
-			met.QueriesTimedOut.Inc()
-		}
+		met.Inc(telemetry.QueriesTimedOut)
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 		return http.StatusGatewayTimeout
 	}
 }
 
 func (s *server) shed(w http.ResponseWriter, met *telemetry.Engine) int {
-	if met != nil {
-		met.QueriesShed.Inc()
-	}
+	met.Inc(telemetry.QueriesShed)
 	w.Header().Set("Retry-After", "1")
 	http.Error(w, "overloaded, retry later", http.StatusTooManyRequests)
 	return http.StatusTooManyRequests
@@ -340,9 +332,7 @@ func (s *server) communities(ctx context.Context, db queryDB, r *http.Request) r
 func (s *server) rebuild(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	status := s.serveRebuild(w, r)
-	if s.cfg.met != nil {
-		s.cfg.met.EndpointObserved(slotRebuild, "rebuild", time.Since(t0), status)
-	}
+	s.cfg.met.EndpointObserved(slotRebuild, "rebuild", time.Since(t0), status)
 }
 
 func (s *server) serveRebuild(w http.ResponseWriter, r *http.Request) int {
@@ -373,9 +363,7 @@ func (s *server) serveRebuild(w http.ResponseWriter, r *http.Request) int {
 	var q queryDB = db
 	s.db.Store(&q)
 	s.cache.purge()
-	if s.cfg.met != nil {
-		s.cfg.met.IndexRebuilds.Inc()
-	}
+	s.cfg.met.Inc(telemetry.IndexRebuilds)
 	res := jsonResult(map[string]any{
 		"cliques": st.Cliques, "vertices": st.Vertices, "bytes": st.Bytes,
 		"digest": fmt.Sprintf("%08x", st.Digest),

@@ -251,7 +251,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eng = mce.NewTelemetryEngine()
 		opts = append(opts, mce.WithTelemetryEngine(eng))
 	}
-	if *debugAddr != "" && eng != nil {
+	if *debugAddr != "" {
 		addr, stopDebug, err := telemetry.ServeDebug(*debugAddr, eng.Snapshot)
 		if err != nil {
 			fmt.Fprintln(stderr, "mcefind:", err)

@@ -34,7 +34,7 @@ func TestListExitsZero(t *testing.T) {
 	}
 	for _, name := range []string{
 		"ctxplumb", "lockbalance", "sortedadj", "wiretypes",
-		"maporder", "telemetryguard",
+		"maporder",
 		"lockorder", "golifecycle", "chandiscipline", "casloop",
 		"hotalloc", "hotbox", "hotdefer", "hotslice",
 		"staleignore",

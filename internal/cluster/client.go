@@ -555,9 +555,7 @@ func (c *Client) redialDead() int {
 		c.conns[i] = fresh
 		c.mu.Unlock()
 		revived++
-		if met := c.opts.Metrics; met != nil {
-			met.Reconnects.Inc()
-		}
+		c.opts.Metrics.Inc(telemetry.Reconnects)
 		c.offer(fresh)
 	}
 	return revived
@@ -607,9 +605,7 @@ func (c *Client) Reconnect() (int, error) {
 		fresh.busy = wc.busy
 		c.conns[i] = fresh
 		c.mu.Unlock()
-		if met := c.opts.Metrics; met != nil {
-			met.Reconnects.Inc()
-		}
+		c.opts.Metrics.Inc(telemetry.Reconnects)
 		c.offer(fresh)
 	}
 	c.mu.Lock()
@@ -819,9 +815,7 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 		tasks <- attempt{block: i}
 	}
 	met := c.opts.Metrics
-	if met != nil {
-		met.QueueDepth.Add(int64(len(blocks)))
-	}
+	met.Add(telemetry.QueueDepth, int64(len(blocks)))
 	var (
 		completed  int64
 		aliveCount = int64(len(alive))
@@ -858,12 +852,10 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 		if claimed[i].Load() {
 			return
 		}
-		if met != nil {
-			if retry {
-				met.TaskRetries.Inc()
-			}
-			met.QueueDepth.Add(1)
+		if retry {
+			met.Inc(telemetry.TaskRetries)
 		}
+		met.Inc(telemetry.QueueDepth)
 		tasks <- attempt{block: i}
 	}
 	// chargeAttempt spends one of block i's retries on err and either
@@ -884,9 +876,7 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 		if !claimed[i].CompareAndSwap(false, true) {
 			return // a twin already delivered the block
 		}
-		if met != nil {
-			met.PoisonTasks.Inc()
-		}
+		met.Inc(telemetry.PoisonTasks)
 		if c.opts.SkipPoisonTasks {
 			// Recorded skip: the block's slot stays nil and the batch
 			// carries on; callers surface the verdicts.
@@ -917,9 +907,7 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 			fl.started = time.Now()
 		}
 		fl.mu.Unlock()
-		if met != nil {
-			met.TasksInFlight.Add(1)
-		}
+		met.Inc(telemetry.TasksInFlight)
 		var id runlog.BlockID
 		if ids != nil {
 			id = ids[i]
@@ -929,9 +917,7 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 		}
 		t0 := time.Now()
 		cliques, err := c.roundTrip(ctx, wc, i, id, &blocks[i], combos[i])
-		if met != nil {
-			met.TasksInFlight.Add(-1)
-		}
+		met.Add(telemetry.TasksInFlight, -1)
 		fl.mu.Lock()
 		fl.inFlight--
 		fl.mu.Unlock()
@@ -943,20 +929,16 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 			c.mu.Unlock()
 			c.health.success(wc.addr, rttd)
 			rtt.Observe(int64(rttd))
-			if met != nil {
-				met.RoundTripNs.ObserveSince(t0)
-			}
+			met.ObserveRoundTrip(rttd)
 			if !claimed[i].CompareAndSwap(false, true) {
 				// First-wins dedup: a twin already delivered this block.
 				// Lemma 1 determinism means the discarded answer was
 				// identical, so dropping it is exactly-once, not lossy.
-				if met != nil {
-					met.HedgeWasted.Inc()
-				}
+				met.Inc(telemetry.HedgeWasted)
 				return true
 			}
-			if a.hedge && met != nil {
-				met.HedgeWins.Inc()
+			if a.hedge {
+				met.Inc(telemetry.HedgeWins)
 			}
 			if obs != nil {
 				// Durability before acknowledgement: the block only counts
@@ -1035,9 +1017,7 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 			case <-done:
 				return
 			case a := <-tasks:
-				if met != nil {
-					met.QueueDepth.Add(-1)
-				}
+				met.Add(telemetry.QueueDepth, -1)
 				if claimed[a.block].Load() {
 					continue // stale entry: the block already has its answer
 				}
@@ -1158,10 +1138,8 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 					if !straggling {
 						continue
 					}
-					if met != nil {
-						met.HedgedDispatches.Inc()
-						met.QueueDepth.Add(1)
-					}
+					met.Inc(telemetry.HedgedDispatches)
+					met.Inc(telemetry.QueueDepth)
 					tasks <- attempt{block: i, hedge: true}
 				}
 			}
@@ -1198,19 +1176,17 @@ func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combo
 	<-done
 	close(stopWatch)
 	watchWG.Wait()
-	if met != nil {
-		// Entries stranded in the queue — by a fatal error, or hedge twins
-		// obsoleted by their primary — are no longer pending work; return
-		// the gauge to its pre-batch level.
-		for {
-			select {
-			case <-tasks:
-				met.QueueDepth.Add(-1)
-				continue
-			default:
-			}
-			break
+	// Entries stranded in the queue — by a fatal error, or hedge twins
+	// obsoleted by their primary — are no longer pending work; return the
+	// gauge to its pre-batch level.
+	for {
+		select {
+		case <-tasks:
+			met.Add(telemetry.QueueDepth, -1)
+			continue
+		default:
 		}
+		break
 	}
 
 	// Clear any cancellation deadlines left on surviving connections.
@@ -1268,9 +1244,7 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 	if err := wc.enc.Encode(&t); err != nil {
 		return nil, fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
 	}
-	if met != nil {
-		met.BytesSent.Add(t.wireSize())
-	}
+	met.Add(telemetry.BytesSent, t.wireSize())
 	if wc.flush != nil {
 		if err := wc.flush(); err != nil {
 			return nil, fmt.Errorf("cluster: flush to %s: %w", wc.addr, err)
@@ -1280,23 +1254,17 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 	if err := wc.dec.Decode(&res); err != nil {
 		return nil, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
-	if met != nil {
-		met.BytesReceived.Add(res.wireSize())
-	}
+	met.Add(telemetry.BytesReceived, res.wireSize())
 	if res.ID != id || res.Level != bid.Level || res.Plan != bid.Plan {
 		return nil, fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
 			wc.addr, res.ID, res.Level, res.Plan, id, bid.Level, bid.Plan)
 	}
 	if res.Corrupt {
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
+		met.Inc(telemetry.CorruptResults)
 		return nil, &corruptResultError{msg: fmt.Sprintf("cluster: task %d corrupted in flight to %s", id, wc.addr)}
 	}
 	if res.Sum != res.payloadSum() {
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
+		met.Inc(telemetry.CorruptResults)
 		return nil, &corruptResultError{msg: fmt.Sprintf("cluster: result %d from %s corrupted in flight (checksum mismatch)", id, wc.addr)}
 	}
 	if res.Err != "" {

@@ -185,9 +185,7 @@ func (r *healthRegistry) quarantineLocked(h *workerHealth) {
 	h.state = stateQuarantined
 	h.until = time.Now().Add(h.cooldown)
 	h.quarantines++
-	if r.met != nil {
-		r.met.WorkersQuarantined.Inc()
-	}
+	r.met.Inc(telemetry.WorkersQuarantined)
 }
 
 // gate is the dispatch-side admission check for one connection to addr. It
@@ -210,9 +208,7 @@ func (r *healthRegistry) gate(addr string, now time.Time) (wait time.Duration, p
 		}
 		h.state = stateProbing
 		h.probes++
-		if r.met != nil {
-			r.met.WorkerProbes.Inc()
-		}
+		r.met.Inc(telemetry.WorkerProbes)
 		return 0, true, false
 	case stateProbing:
 		// A sibling connection's probe is in flight; stand back briefly.

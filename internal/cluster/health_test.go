@@ -42,7 +42,7 @@ func TestHealthQuarantineAndProbeReadmission(t *testing.T) {
 	r.touch("a:1")
 	r.touch("b:2")
 	failUntilQuarantined(t, r, "a:1")
-	if met.WorkersQuarantined.Load() == 0 {
+	if met.Snapshot().WorkersQuarantined == 0 {
 		t.Fatal("WorkersQuarantined not counted")
 	}
 
@@ -57,7 +57,7 @@ func TestHealthQuarantineAndProbeReadmission(t *testing.T) {
 	if wait, probe, _ := r.gate("a:1", after); wait != 0 || !probe {
 		t.Fatalf("gate after cooldown = (%v, %v), want (0, probe)", wait, probe)
 	}
-	if met.WorkerProbes.Load() != 1 {
+	if met.Snapshot().WorkerProbes != 1 {
 		t.Fatal("WorkerProbes not counted")
 	}
 	if wait, probe, recheck := r.gate("a:1", after); wait != probeHold || probe || !recheck {

@@ -131,10 +131,10 @@ func TestChaosStragglerHedging(t *testing.T) {
 			hedgedWall, bound, healthyWall)
 	}
 
-	if met.HedgedDispatches.Load() == 0 {
+	if met.Snapshot().HedgedDispatches == 0 {
 		t.Fatal("no hedged dispatches issued against a 100× straggler")
 	}
-	if met.HedgeWins.Load() == 0 {
+	if met.Snapshot().HedgeWins == 0 {
 		t.Fatal("no hedge wins recorded: the straggler's blocks were not rescued")
 	}
 }
@@ -176,13 +176,14 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 	if len(set) == 0 {
 		t.Fatal("empty result")
 	}
-	if met.HedgedDispatches.Load() == 0 {
+	if met.Snapshot().HedgedDispatches == 0 {
 		t.Fatal("hedging never fired against the slow worker")
 	}
 	// Give the straggler's in-flight duplicates a moment to land, then
 	// confirm they were discarded, not merged: wasted + wins ≤ dispatches.
 	time.Sleep(150 * time.Millisecond)
-	wins, wasted, issued := met.HedgeWins.Load(), met.HedgeWasted.Load(), met.HedgedDispatches.Load()
+	snap := met.Snapshot()
+	wins, wasted, issued := snap.HedgeWins, snap.HedgeWasted, snap.HedgedDispatches
 	if wins+wasted > issued+int64(len(blocks)) {
 		t.Fatalf("dedup accounting off: wins=%d wasted=%d issued=%d", wins, wasted, issued)
 	}

@@ -61,7 +61,10 @@ func TestClientAndWorkerTelemetry(t *testing.T) {
 		t.Fatalf("spurious failures recorded: %+v", cs)
 	}
 
-	//lint:ignore telemetryguard startMeteredWorker always builds the engine with telemetry.NewEngine, so the helper never returns nil
+	// The worker counts a result's bytes after flushing it, so the client
+	// can hold the last result before the worker's counter moves. Close
+	// waits for in-flight tasks to finish, which makes the counters final.
+	stop()
 	ws := workerEng.Snapshot()
 	if ws.TasksServed != int64(len(blocks)) {
 		t.Fatalf("worker served %d tasks, want %d", ws.TasksServed, len(blocks))

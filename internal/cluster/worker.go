@@ -254,21 +254,17 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		if !w.beginTask() {
 			return nil
 		}
-		if met != nil {
-			met.BytesReceived.Add(t.wireSize())
-			met.TasksInFlight.Add(1)
-		}
+		met.Add(telemetry.BytesReceived, t.wireSize())
+		met.Inc(telemetry.TasksInFlight)
 		res := runTask(&t, met)
-		if met != nil {
-			met.TasksInFlight.Add(-1)
-		}
+		met.Add(telemetry.TasksInFlight, -1)
 		res.Sum = res.payloadSum()
 		err := enc.Encode(&res)
 		if err == nil && flush != nil {
 			err = flush()
 		}
-		if err == nil && met != nil {
-			met.BytesSent.Add(res.wireSize())
+		if err == nil {
+			met.Add(telemetry.BytesSent, res.wireSize())
 		}
 		w.endTask()
 		if err != nil {
@@ -283,25 +279,19 @@ func (w *Worker) serveConn(conn net.Conn) error {
 // cannot take down a node that other coordinators share. met may be nil.
 func runTask(t *blockTask, met *telemetry.Engine) (res blockResult) {
 	res = blockResult{ID: t.ID, Level: t.Level, Plan: t.Plan}
-	if met != nil {
-		met.TasksServed.Inc()
-	}
+	met.Inc(telemetry.TasksServed)
 	defer func() {
 		if r := recover(); r != nil {
 			res = blockResult{ID: t.ID, Level: t.Level, Plan: t.Plan, Err: fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r)}
-			if met != nil {
-				met.TaskPanics.Inc()
-			}
+			met.Inc(telemetry.TaskPanics)
 		}
-		if met != nil && (res.Err != "" || res.Corrupt) {
-			met.TaskErrors.Inc()
+		if res.Err != "" || res.Corrupt {
+			met.Inc(telemetry.TaskErrors)
 		}
 	}()
 	if t.Sum != t.payloadSum() {
 		res.Corrupt = true
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
+		met.Inc(telemetry.CorruptResults)
 		return res
 	}
 	b, combo, err := blockFromTask(t)
@@ -309,12 +299,8 @@ func runTask(t *blockTask, met *telemetry.Engine) (res blockResult) {
 		res.Err = err.Error()
 		return res
 	}
-	var ins *telemetry.BlockInstr
-	var t0 time.Time
-	if met != nil {
-		ins = &telemetry.BlockInstr{}
-		t0 = time.Now()
-	}
+	ins := met.NewBlockInstr()
+	t0 := time.Now()
 	// Intra-block parallelism rides the combo, not the wire protocol: a
 	// coordinator that selected BitSetsParallel gets a work-stealing pool
 	// here sized to the worker's GOMAXPROCS (mcealg's auto default), and the
@@ -327,11 +313,9 @@ func runTask(t *blockTask, met *telemetry.Engine) (res blockResult) {
 		copy(cp, c)
 		res.Cliques = append(res.Cliques, cp)
 	}, ins)
-	if met != nil {
-		met.ComboAnalyzed(combo.Index(), combo.Label(), time.Since(t0))
-		met.MergeBlockInstr(ins)
-		met.CliquesFound.Add(int64(len(res.Cliques)))
-	}
+	met.ComboAnalyzed(combo.Index(), combo.Label(), time.Since(t0))
+	met.MergeBlockInstr(ins)
+	met.Add(telemetry.CliquesFound, int64(len(res.Cliques)))
 	if err != nil {
 		res.Err = err.Error()
 		res.Cliques = nil

@@ -84,47 +84,66 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 // completed checkpointed run, a resumed run must answer entirely from the
 // journal and segments — the executor must never be invoked.
 func TestResumeServesEveryBlockFromSegments(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, 7)
-	opts := Options{BlockSize: 20}
-	dir := t.TempDir()
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"hub-recursion", gen.BarabasiAlbert(300, 3, 7), Options{BlockSize: 20}},
+		// Every node is a hub at m=10: the whole run is one terminal core.
+		{"terminal-core", gen.ErdosRenyi(60, 0.5, 3), Options{BlockSize: 10}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, opts := tc.g, tc.opts
+			dir := t.TempDir()
 
-	cpOpts := opts
-	cpOpts.Checkpoint = openCheckpoint(t, dir, g, opts)
-	first, err := FindMaxCliques(g, cpOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpOpts.Checkpoint.Close()
-	totalBlocks := 0
-	for _, lvl := range first.Stats.Levels {
-		totalBlocks += lvl.Blocks
-		if lvl.Blocks == 0 && lvl.Hubs == lvl.Nodes {
-			totalBlocks++ // terminal core counts as one journaled block
-		}
-	}
+			cpOpts := opts
+			cpOpts.Checkpoint = openCheckpoint(t, dir, g, opts)
+			first, err := FindMaxCliques(g, cpOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpOpts.Checkpoint.Close()
+			totalBlocks := 0
+			for _, lvl := range first.Stats.Levels {
+				totalBlocks += lvl.Blocks
+				if lvl.Blocks == 0 && lvl.Hubs == lvl.Nodes {
+					totalBlocks++ // terminal core counts as one journaled block
+				}
+			}
 
-	met := telemetry.NewEngine()
-	resOpts := opts
-	resOpts.Executor = forbiddenExecutor{}
-	resOpts.Metrics = met
-	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{NoSync: true, Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOpts.Checkpoint = cp
-	resumed, err := FindMaxCliques(g, resOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Close()
-	if !familiesEqual(first.Cliques, resumed.Cliques) {
-		t.Fatalf("resume changed the clique set: %d vs %d", len(resumed.Cliques), len(first.Cliques))
-	}
-	if resumed.Stats.ResumedBlocks != totalBlocks {
-		t.Fatalf("ResumedBlocks = %d, want every block (%d)", resumed.Stats.ResumedBlocks, totalBlocks)
-	}
-	if n := met.Snapshot().CheckpointBlocksSkipped; int(n) != totalBlocks {
-		t.Fatalf("telemetry skipped counter = %d, want %d", n, totalBlocks)
+			met := telemetry.NewEngine()
+			resOpts := opts
+			resOpts.Executor = forbiddenExecutor{}
+			resOpts.Metrics = met
+			cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{NoSync: true, Metrics: met})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resOpts.Checkpoint = cp
+			resumed, err := FindMaxCliques(g, resOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Close()
+			if !familiesEqual(first.Cliques, resumed.Cliques) {
+				t.Fatalf("resume changed the clique set: %d vs %d", len(resumed.Cliques), len(first.Cliques))
+			}
+			if resumed.Stats.ResumedBlocks != totalBlocks {
+				t.Fatalf("ResumedBlocks = %d, want every block (%d)", resumed.Stats.ResumedBlocks, totalBlocks)
+			}
+			snap := met.Snapshot()
+			if n := snap.CheckpointBlocksSkipped; int(n) != totalBlocks {
+				t.Fatalf("telemetry skipped counter = %d, want %d", n, totalBlocks)
+			}
+			// Segment-served blocks count as found, so the Lemma-1
+			// accounting closes on a resumed run too.
+			if got := snap.CliquesFound - snap.HubCliquesFiltered; got != int64(resumed.Stats.TotalCliques) {
+				t.Fatalf("cliques_found %d - hub_cliques_filtered %d = %d, want TotalCliques %d",
+					snap.CliquesFound, snap.HubCliquesFiltered, got, resumed.Stats.TotalCliques)
+			}
+		})
 	}
 }
 

@@ -121,8 +121,8 @@ type Options struct {
 	// Metrics, when non-nil, receives live telemetry from every phase of
 	// the run (blocks, combo picks, per-block timings, filter time, and —
 	// through the executor — queue depth and algorithm counters). Nil
-	// disables telemetry entirely: every instrumentation site is behind a
-	// nil-check and the block-analysis hot loop allocates nothing extra.
+	// disables telemetry entirely: every engine method is a no-op on a nil
+	// receiver and the block-analysis hot loop allocates nothing extra.
 	Metrics *telemetry.Engine
 	// Checkpoint, when non-nil, makes the run crash-safe: every level's
 	// block plan and every block completion is journaled, block results are
@@ -296,9 +296,7 @@ func (e *LocalExecutor) analyze(ctx context.Context, blocks []decomp.Block, comb
 		firstErr error
 	)
 	met := e.Metrics
-	if met != nil {
-		met.QueueDepth.Add(int64(len(blocks)))
-	}
+	met.Add(telemetry.QueueDepth, int64(len(blocks)))
 	guard := resguard.New(e.MemoryBudget, met)
 	// Intra-block pools split subtrees into heap-held tasks; gating the
 	// splits on the same guard keeps deque growth inside the budget. The
@@ -311,14 +309,9 @@ func (e *LocalExecutor) analyze(ctx context.Context, blocks []decomp.Block, comb
 			defer wg.Done()
 			// ins is per-worker scratch: the recursion counts accumulate
 			// without atomics and merge into the engine once per block.
-			var ins *telemetry.BlockInstr
-			if met != nil {
-				ins = &telemetry.BlockInstr{}
-			}
+			ins := met.NewBlockInstr()
 			for i := range next {
-				if met != nil {
-					met.QueueDepth.Add(-1)
-				}
+				met.Add(telemetry.QueueDepth, -1)
 				if ctx.Err() != nil {
 					continue // drain the queue without analysing
 				}
@@ -333,23 +326,17 @@ func (e *LocalExecutor) analyze(ctx context.Context, blocks []decomp.Block, comb
 				if obs != nil {
 					obs.BlockDispatched(ids[i])
 				}
-				var t0 time.Time
-				if met != nil {
-					met.TasksInFlight.Add(1)
-					t0 = time.Now()
-				}
+				met.Inc(telemetry.TasksInFlight)
+				t0 := time.Now()
 				var cliques [][]int32 //lint:ignore hotbox the emit sink must outlive the callback; captured once per block, not per node
 				err := decomp.AnalyzeBlockPar(&blocks[i], combos[i], func(c []int32) {
 					cp := make([]int32, len(c))
 					copy(cp, c)
 					cliques = append(cliques, cp)
 				}, ins, par)
-				if met != nil {
-					idx := combos[i].Index()
-					met.ComboAnalyzed(idx, combos[i].Label(), time.Since(t0))
-					met.MergeBlockInstr(ins)
-					met.TasksInFlight.Add(-1)
-				}
+				met.ComboAnalyzed(combos[i].Index(), combos[i].Label(), time.Since(t0))
+				met.MergeBlockInstr(ins)
+				met.Add(telemetry.TasksInFlight, -1)
 				if err == nil && obs != nil {
 					// Durability before acknowledgement: the block only
 					// counts once its cliques are journaled.
@@ -560,17 +547,12 @@ func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.
 		kernelSum += len(blocks[i].Kernel)
 		borderSum += len(blocks[i].Border)
 		visitedSum += len(blocks[i].Visited)
-		if met != nil {
-			idx := combos[i].Index()
-			met.ComboPicked(idx, combos[i].Label())
-		}
+		met.ComboPicked(combos[i].Index(), combos[i].Label())
 	}
-	if met != nil {
-		met.BlocksBuilt.Add(int64(len(blocks)))
-		met.KernelNodes.Add(int64(kernelSum))
-		met.BorderNodes.Add(int64(borderSum))
-		met.VisitedNodes.Add(int64(visitedSum))
-	}
+	met.Add(telemetry.BlocksBuilt, int64(len(blocks)))
+	met.Add(telemetry.KernelNodes, int64(kernelSum))
+	met.Add(telemetry.BorderNodes, int64(borderSum))
+	met.Add(telemetry.VisitedNodes, int64(visitedSum))
 	decompTime := time.Since(start)
 
 	start = time.Now()
@@ -601,10 +583,8 @@ func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.
 		Cliques: len(res.Cliques) - cfStart,
 		Decomp:  decompTime, Analysis: analysisTime,
 	})
-	if met != nil {
-		met.CliquesFound.Add(int64(len(res.Cliques) - cfStart))
-		met.LevelsCompleted.Inc()
-	}
+	met.Add(telemetry.CliquesFound, int64(len(res.Cliques)-cfStart))
+	met.Inc(telemetry.LevelsCompleted)
 	if opts.OnLevel != nil {
 		opts.OnLevel(res.Stats.Levels[len(res.Stats.Levels)-1])
 	}
@@ -655,10 +635,8 @@ func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.
 		res.Level = append(res.Level, subRes.Level[i])
 	}
 	res.Stats.FilterTime += time.Since(start)
-	if met != nil {
-		met.FilterNs.Add(int64(time.Since(start)))
-		met.HubCliquesFiltered.Add(int64(dropped))
-	}
+	met.Add(telemetry.FilterNs, int64(time.Since(start)))
+	met.Add(telemetry.HubCliquesFiltered, int64(dropped))
 	return nil
 }
 
@@ -794,60 +772,50 @@ func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block,
 func enumerateCore(g *graph.Graph, sel func(*decomp.Block) mcealg.Combo, opts Options, res *Result, level int, start time.Time) error {
 	cp, met := opts.Checkpoint, opts.Metrics
 	id := runlog.BlockID{Level: level, Plan: 0}
+	first := len(res.Cliques)
+	resumed := false
 	if cp != nil {
 		if err := cp.BeginLevel(level, 1); err != nil {
 			return err
 		}
-		if cliques, ok := cp.DoneCliques(id); ok {
+		var cliques [][]int32
+		if cliques, resumed = cp.DoneCliques(id); resumed {
 			res.Cliques = append(res.Cliques, cliques...)
-			for range cliques {
-				res.Level = append(res.Level, level)
-			}
-			res.Stats.CoreFallback = true
-			res.Stats.Levels = append(res.Stats.Levels, LevelStats{
-				Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
-				Cliques: len(cliques), Analysis: time.Since(start),
-			})
-			if met != nil {
-				met.LevelsCompleted.Inc()
-			}
-			return cp.EndLevel(level)
 		}
 	}
-	blk := wholeGraphBlock(g)
-	combo := sel(blk)
-	if met != nil {
+	if !resumed {
+		combo := sel(wholeGraphBlock(g))
 		met.ComboPicked(combo.Index(), combo.Label())
-	}
-	n := 0
-	first := len(res.Cliques)
-	err := mcealg.EnumeratePar(g, combo, corePar(opts), func(c []int32) {
-		dup := make([]int32, len(c))
-		copy(dup, c)
-		res.Cliques = append(res.Cliques, dup)
-		res.Level = append(res.Level, level)
-		n++
-	})
-	if err != nil {
-		return err
-	}
-	if cp != nil {
-		if err := cp.BlockDone(id, res.Cliques[first:]); err != nil {
+		err := mcealg.EnumeratePar(g, combo, corePar(opts), func(c []int32) {
+			dup := make([]int32, len(c))
+			copy(dup, c)
+			res.Cliques = append(res.Cliques, dup)
+		})
+		if err != nil {
 			return err
 		}
+		if cp != nil {
+			if err := cp.BlockDone(id, res.Cliques[first:]); err != nil {
+				return err
+			}
+		}
+	}
+	if cp != nil {
 		if err := cp.EndLevel(level); err != nil {
 			return err
 		}
+	}
+	n := len(res.Cliques) - first
+	for range n {
+		res.Level = append(res.Level, level)
 	}
 	res.Stats.CoreFallback = true
 	res.Stats.Levels = append(res.Stats.Levels, LevelStats{
 		Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
 		Cliques: n, Analysis: time.Since(start),
 	})
-	if met != nil {
-		met.CliquesFound.Add(int64(n))
-		met.LevelsCompleted.Inc()
-	}
+	met.Add(telemetry.CliquesFound, int64(n))
+	met.Inc(telemetry.LevelsCompleted)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"mce/internal/filter"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
+	"mce/internal/telemetry"
 )
 
 // Stream enumerates every maximal clique of g like FindMaxCliques but hands
@@ -70,11 +71,8 @@ func streamRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decom
 	feasible, hubs := decomp.Cut(g, m)
 
 	if len(feasible) == 0 || (opts.MaxLevels > 0 && level >= opts.MaxLevels && len(hubs) > 0) {
-		blk := wholeGraphBlock(g)
-		combo := sel(blk)
-		if met != nil {
-			met.ComboPicked(combo.Index(), combo.Label())
-		}
+		combo := sel(wholeGraphBlock(g))
+		met.ComboPicked(combo.Index(), combo.Label())
 		n := 0
 		err := mcealg.EnumeratePar(g, combo, corePar(opts), func(c []int32) {
 			emit(c, level)
@@ -89,10 +87,8 @@ func streamRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decom
 			Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
 			Cliques: n, Analysis: time.Since(start),
 		})
-		if met != nil {
-			met.CliquesFound.Add(int64(n))
-			met.LevelsCompleted.Inc()
-		}
+		met.Add(telemetry.CliquesFound, int64(n))
+		met.Inc(telemetry.LevelsCompleted)
 		return nil
 	}
 
@@ -104,17 +100,12 @@ func streamRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decom
 		kernelSum += len(blocks[i].Kernel)
 		borderSum += len(blocks[i].Border)
 		visitedSum += len(blocks[i].Visited)
-		if met != nil {
-			idx := combos[i].Index()
-			met.ComboPicked(idx, combos[i].Label())
-		}
+		met.ComboPicked(combos[i].Index(), combos[i].Label())
 	}
-	if met != nil {
-		met.BlocksBuilt.Add(int64(len(blocks)))
-		met.KernelNodes.Add(int64(kernelSum))
-		met.BorderNodes.Add(int64(borderSum))
-		met.VisitedNodes.Add(int64(visitedSum))
-	}
+	met.Add(telemetry.BlocksBuilt, int64(len(blocks)))
+	met.Add(telemetry.KernelNodes, int64(kernelSum))
+	met.Add(telemetry.BorderNodes, int64(borderSum))
+	met.Add(telemetry.VisitedNodes, int64(visitedSum))
 	decompTime := time.Since(start)
 
 	start = time.Now()
@@ -139,10 +130,8 @@ func streamRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decom
 		Cliques: levelCliques,
 		Decomp:  decompTime, Analysis: analysisTime,
 	})
-	if met != nil {
-		met.CliquesFound.Add(int64(levelCliques))
-		met.LevelsCompleted.Inc()
-	}
+	met.Add(telemetry.CliquesFound, int64(levelCliques))
+	met.Inc(telemetry.LevelsCompleted)
 	if opts.OnLevel != nil {
 		opts.OnLevel(stats.Levels[len(stats.Levels)-1])
 	}
@@ -166,15 +155,13 @@ func streamRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decom
 		keep := !filter.Extensible(g, translated, isFeasible)
 		elapsed := time.Since(start)
 		stats.FilterTime += elapsed
-		if met != nil {
-			met.FilterNs.Add(int64(elapsed))
-		}
+		met.Add(telemetry.FilterNs, int64(elapsed))
 		if keep {
 			emit(translated, level+1+subLevel)
 			stats.TotalCliques++
 			stats.HubCliques++
-		} else if met != nil {
-			met.HubCliquesFiltered.Inc()
+		} else {
+			met.Inc(telemetry.HubCliquesFiltered)
 		}
 	}
 	subStats := &Stats{}

@@ -314,10 +314,6 @@ func AnalyzeBlockPar(b *Block, combo mcealg.Combo, emit func(clique []int32), in
 		P.Remove(k)
 		vbar.Add(k)
 	}
-	if ins != nil {
-		nodes, pivots := runner.Counts()
-		ins.RecursionNodes += nodes
-		ins.PivotSelections += pivots
-	}
+	ins.Add(runner.Counts())
 	return nil
 }

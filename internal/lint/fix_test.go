@@ -75,43 +75,6 @@ func Dump(set map[string]int) {
 	}
 }
 
-func TestApplyFixesWrapsNilGuard(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fixme.go")
-	src := `package fixme
-
-import "mce/internal/telemetry"
-
-func bump(met *telemetry.Engine, ins *telemetry.BlockInstr) {
-	met.BlocksBuilt.Inc()
-	ins.RecursionNodes++
-}
-`
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatalf("writing fixture: %v", err)
-	}
-
-	diags, changed := fixRound(t, path, TelemetryGuard)
-	if len(diags) != 2 {
-		t.Fatalf("got %d finding(s) before the fix, want 2:\n%v", len(diags), diags)
-	}
-	if len(changed) != 1 {
-		t.Fatalf("ApplyFixes changed %v, want just the fixture", changed)
-	}
-	fixed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading fixed file: %v", err)
-	}
-	if !strings.Contains(string(fixed), "if met != nil {") || !strings.Contains(string(fixed), "if ins != nil {") {
-		t.Errorf("fix did not wrap the statements in nil guards:\n%s", fixed)
-	}
-
-	diags, changed = fixRound(t, path, TelemetryGuard)
-	if len(diags) != 0 || len(changed) != 0 {
-		t.Errorf("fix did not converge: %d finding(s), changed %v", len(diags), changed)
-	}
-}
-
 func TestApplyFixesPreallocatesHotSlice(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fixme.go")

@@ -1,7 +1,7 @@
 // Package lint is a repo-specific static-analysis suite: a small, dependency
 // free re-implementation of the golang.org/x/tools/go/analysis model (the
 // builder has no network, so the real module cannot be vendored) plus
-// fifteen analyzers that machine-check invariants the engine's correctness
+// fourteen analyzers that machine-check invariants the engine's correctness
 // and performance arguments lean on.
 //
 // The PR 2 per-package analyzers:
@@ -25,9 +25,6 @@
 //     rand draws, gob encoding or ordered output without an intervening
 //     sort (the PR 3 cross-process nondeterminism bug class, caught
 //     statically);
-//   - telemetryguard: every instrumentation site on a possibly-nil
-//     *telemetry.Engine or *telemetry.BlockInstr must be nil-guarded (the
-//     PR 3 zero-overhead-when-disabled contract);
 //   - staleignore: a //lint:ignore directive that no longer suppresses any
 //     finding is itself a finding.
 //
@@ -135,7 +132,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		CtxPlumb, LockBalance, SortedAdj, WireTypes,
-		MapOrder, TelemetryGuard,
+		MapOrder,
 		LockOrder, GoLifecycle, ChanDiscipline, CasLoop,
 		HotAlloc, HotBox, HotDefer, HotSlice,
 		StaleIgnore,

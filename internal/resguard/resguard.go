@@ -98,15 +98,9 @@ func (g *Guard) Enter(done <-chan struct{}) {
 	// Over budget with other work in flight: pause until the heap drains
 	// below the release watermark, the other holders finish, or the batch
 	// is done with us.
-	if g.met != nil {
-		g.met.BackpressurePauses.Inc()
-	}
+	g.met.Inc(telemetry.BackpressurePauses)
 	t0 := time.Now()
-	defer func() {
-		if g.met != nil {
-			g.met.BackpressureNs.Add(int64(time.Since(t0)))
-		}
-	}()
+	defer func() { g.met.Add(telemetry.BackpressureNs, int64(time.Since(t0))) }()
 	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for {

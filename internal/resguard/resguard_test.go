@@ -105,10 +105,10 @@ func TestBackpressureTelemetry(t *testing.T) {
 	time.Sleep(3 * pollInterval)
 	g.Exit()
 	<-release
-	if met.BackpressurePauses.Load() == 0 {
+	if met.Snapshot().BackpressurePauses == 0 {
 		t.Fatal("BackpressurePauses not counted")
 	}
-	if met.BackpressureNs.Load() == 0 {
+	if met.Snapshot().BackpressureNs == 0 {
 		t.Fatal("BackpressureNs not counted")
 	}
 }

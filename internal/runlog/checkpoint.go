@@ -208,9 +208,7 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	if err := c.restore(recs, id); err != nil {
 		return nil, err
 	}
-	if c.met != nil {
-		c.met.CheckpointReplayNs.Add(int64(time.Since(start)))
-	}
+	c.met.Add(telemetry.CheckpointReplayNs, int64(time.Since(start)))
 	j, err := openJournalForAppend(fs, path, validOff, !opts.NoSync, opts.Metrics)
 	if err != nil {
 		return nil, err
@@ -282,9 +280,7 @@ func (c *Checkpoint) degrade(err error) {
 	}
 	c.degraded = true
 	c.degradeErr = err
-	if c.met != nil {
-		c.met.CheckpointDegraded.Set(1)
-	}
+	c.met.Inc(telemetry.CheckpointDegraded)
 	if c.onDegrade != nil {
 		c.onDegrade(err)
 	}
@@ -394,9 +390,7 @@ func (c *Checkpoint) DoneCliques(id BlockID) (cliques [][]int32, ok bool) {
 		return nil, false
 	}
 	c.skipped++
-	if c.met != nil {
-		c.met.CheckpointBlocksSkipped.Inc()
-	}
+	c.met.Inc(telemetry.CheckpointBlocksSkipped)
 	return cliques, true
 }
 

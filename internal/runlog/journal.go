@@ -186,10 +186,8 @@ func (j *journal) append(r *rec) error {
 			return j.err
 		}
 	}
-	if j.met != nil {
-		j.met.CheckpointRecords.Inc()
-		j.met.CheckpointBytes.Add(int64(len(hdr) + len(payload)))
-	}
+	j.met.Inc(telemetry.CheckpointRecords)
+	j.met.Add(telemetry.CheckpointBytes, int64(len(hdr)+len(payload)))
 	return nil
 }
 

@@ -17,87 +17,98 @@ const NumCombos = 16
 // comboCell is one slot of the per-combo pick/timing distribution.
 type comboCell struct {
 	label  atomic.Pointer[string]
-	picks  Counter // decision-tree selections of this combo
-	blocks Counter // blocks analysed with this combo
-	ns     Counter // total analysis time, nanoseconds
+	picks  atomic.Int64 // decision-tree selections of this combo
+	blocks atomic.Int64 // blocks analysed with this combo
+	ns     atomic.Int64 // total analysis time, nanoseconds
 }
 
-// Engine is the live metrics registry for one enumeration run or one worker
-// process. All fields are safe for concurrent update; a nil *Engine means
-// telemetry is disabled and every instrumentation site must be guarded by a
-// nil-check, keeping the paper-faithful fast path allocation-free.
-//
-// One Engine type serves every role (coordinator, local pool, remote
-// worker); fields irrelevant to a role simply stay zero and are easy to
-// read as such in the snapshot.
-type Engine struct {
+// Metric names one counter or gauge of an Engine. Every Metric is reported
+// in the Snapshot field of the same name.
+type Metric int
+
+const (
 	// Decomposition (internal/core).
-	BlocksBuilt        Counter // second-level blocks constructed
-	KernelNodes        Counter // total kernel entries across blocks
-	BorderNodes        Counter // total border entries across blocks
-	VisitedNodes       Counter // total visited entries across blocks
-	LevelsCompleted    Counter // first-level recursion levels finished
-	CliquesFound       Counter // cliques emitted by block analysis (pre-filter)
-	HubCliquesFiltered Counter // hub-side cliques dropped by the Lemma 1 filter
-	FilterNs           Counter // total Lemma 1 filter time, nanoseconds
-	QueueDepth         Gauge   // blocks queued for analysis right now
+	BlocksBuilt        Metric = iota // second-level blocks constructed
+	KernelNodes                      // total kernel entries across blocks
+	BorderNodes                      // total border entries across blocks
+	VisitedNodes                     // total visited entries across blocks
+	LevelsCompleted                  // first-level recursion levels finished
+	CliquesFound                     // cliques emitted by block analysis (pre-filter)
+	HubCliquesFiltered               // hub-side cliques dropped by the Lemma 1 filter
+	FilterNs                         // total Lemma 1 filter time, nanoseconds
+	QueueDepth                       // gauge: blocks queued for analysis right now
 
 	// Block analysis (internal/core executors, internal/cluster worker).
-	BlocksAnalyzed Counter // blocks fully analysed
+	BlocksAnalyzed // blocks fully analysed
 
 	// Algorithm internals (internal/mcealg, merged per block).
-	RecursionNodes  Counter // MCE recursion tree nodes expanded
-	PivotSelections Counter // pivot choices made
+	RecursionNodes  // MCE recursion tree nodes expanded
+	PivotSelections // pivot choices made
 
 	// Cluster coordinator (internal/cluster.Client).
-	TasksInFlight  Gauge   // tasks currently on the wire or being analysed
-	TaskRetries    Counter // transport failures that requeued a block
-	Reconnects     Counter // dead worker connections revived
-	PoisonTasks    Counter // blocks that exhausted their retry budget
-	CorruptResults Counter // checksum mismatches detected (either direction)
-	BytesSent      Counter // estimated payload bytes shipped
-	BytesReceived  Counter // estimated payload bytes received
+	TasksInFlight  // gauge: tasks currently on the wire or being analysed
+	TaskRetries    // transport failures that requeued a block
+	Reconnects     // dead worker connections revived
+	PoisonTasks    // blocks that exhausted their retry budget
+	CorruptResults // checksum mismatches detected (either direction)
+	BytesSent      // estimated payload bytes shipped
+	BytesReceived  // estimated payload bytes received
 
 	// Straggler resilience (internal/cluster hedged dispatch + health).
-	HedgedDispatches   Counter // speculative duplicate dispatches issued
-	HedgeWins          Counter // blocks whose speculative copy finished first
-	HedgeWasted        Counter // duplicate results discarded by first-wins dedup
-	WorkersQuarantined Counter // health-scoring quarantine entries
-	WorkerProbes       Counter // probe dispatches to quarantined workers
+	HedgedDispatches   // speculative duplicate dispatches issued
+	HedgeWins          // blocks whose speculative copy finished first
+	HedgeWasted        // duplicate results discarded by first-wins dedup
+	WorkersQuarantined // health-scoring quarantine entries
+	WorkerProbes       // probe dispatches to quarantined workers
 
 	// Resource guardrails (internal/resguard, internal/runlog).
-	BackpressurePauses Counter // dispatches paused by the memory guard
-	BackpressureNs     Counter // total time spent paused, nanoseconds
-	CheckpointDegraded Gauge   // 1 once checkpointing was disabled mid-run
+	BackpressurePauses // dispatches paused by the memory guard
+	BackpressureNs     // total time spent paused, nanoseconds
+	CheckpointDegraded // checkpoint sessions that disabled checkpointing mid-run (0 or 1 per run)
 
 	// Cluster worker (internal/cluster.Worker).
-	TasksServed Counter // tasks answered by this worker
-	TaskErrors  Counter // tasks answered with an in-band application error
-	TaskPanics  Counter // block analyses that panicked (isolated in-band)
+	TasksServed // tasks answered by this worker
+	TaskErrors  // tasks answered with an in-band application error
+	TaskPanics  // block analyses that panicked (isolated in-band)
 
 	// Crash-safe checkpointing (internal/runlog).
-	CheckpointRecords       Counter // journal records appended this session
-	CheckpointBytes         Counter // journal bytes appended this session
-	CheckpointReplayNs      Counter // time spent replaying the journal on open
-	CheckpointBlocksSkipped Counter // journaled-done blocks served from segments instead of re-analysed
+	CheckpointRecords       // journal records appended this session
+	CheckpointBytes         // journal bytes appended this session
+	CheckpointReplayNs      // time spent replaying the journal on open
+	CheckpointBlocksSkipped // journaled-done blocks served from segments instead of re-analysed
 
 	// Query serving (cmd/mced, internal/cliqdb).
-	QueriesAdmitted    Counter // requests past admission control
-	QueriesShed        Counter // requests rejected with 429 by admission control
-	QueriesTimedOut    Counter // admitted requests that hit their deadline (504)
-	CacheHits          Counter // result-cache hits
-	CacheMisses        Counter // result-cache misses (query executed)
-	SingleflightShared Counter // callers that piggybacked on an in-flight query
-	DegradedServes     Counter // queries answered from a stale index during rebuild
-	IndexRebuilds      Counter // index self-heals / explicit rebuilds completed
+	QueriesAdmitted    // requests past admission control
+	QueriesShed        // requests rejected with 429 by admission control
+	QueriesTimedOut    // admitted requests that hit their deadline (504)
+	CacheHits          // result-cache hits
+	CacheMisses        // result-cache misses (query executed)
+	SingleflightShared // callers that piggybacked on an in-flight query
+	DegradedServes     // queries answered from a stale index during rebuild
+	IndexRebuilds      // index self-heals / explicit rebuilds completed
 
-	// BlockNs is the per-block analysis wall-time distribution; RoundTripNs
+	numMetrics
+)
+
+// Engine is the live metrics registry for one enumeration run or one worker
+// process. It is safe for concurrent update. A nil *Engine means telemetry
+// is disabled and every method is safe on it — updates do nothing,
+// NewBlockInstr returns nil and Snapshot the zero Snapshot — so
+// instrumented code calls the methods unconditionally.
+//
+// One Engine type serves every role (coordinator, local pool, remote
+// worker); metrics irrelevant to a role simply stay zero and are easy to
+// read as such in the snapshot.
+type Engine struct {
+	metrics [numMetrics]atomic.Int64
+
+	// blockNs is the per-block analysis wall-time distribution; roundTripNs
 	// is the coordinator-side task round-trip distribution (send → analyse →
-	// receive, including simulated link costs); QueryNs is the admitted-query
+	// receive, including simulated link costs); queryNs is the admitted-query
 	// latency distribution on the serving path.
-	BlockNs     *Histogram
-	RoundTripNs *Histogram
-	QueryNs     *Histogram
+	blockNs     *Histogram
+	roundTripNs *Histogram
+	queryNs     *Histogram
 
 	combos    [NumCombos]comboCell
 	endpoints [NumEndpoints]endpointCell
@@ -106,10 +117,33 @@ type Engine struct {
 // NewEngine returns a ready-to-use engine.
 func NewEngine() *Engine {
 	return &Engine{
-		BlockNs:     NewDurationHistogram(),
-		RoundTripNs: NewDurationHistogram(),
-		QueryNs:     NewDurationHistogram(),
+		blockNs:     NewDurationHistogram(),
+		roundTripNs: NewDurationHistogram(),
+		queryNs:     NewDurationHistogram(),
 	}
+}
+
+// Add moves metric m by n: n ≥ 0 for counters, either sign for the gauges.
+//
+//mce:hotpath instrumentation fast path
+func (e *Engine) Add(m Metric, n int64) {
+	if e == nil {
+		return
+	}
+	e.metrics[m].Add(n)
+}
+
+// Inc adds 1 to metric m.
+//
+//mce:hotpath instrumentation fast path
+func (e *Engine) Inc(m Metric) { e.Add(m, 1) }
+
+// ObserveRoundTrip records one coordinator-side task round trip.
+func (e *Engine) ObserveRoundTrip(d time.Duration) {
+	if e == nil {
+		return
+	}
+	e.roundTripNs.Observe(int64(d))
 }
 
 // ComboPicked records one decision-tree (or fixed-combo) selection. label is
@@ -118,7 +152,7 @@ func NewEngine() *Engine {
 //
 //mce:hotpath per-block combo accounting
 func (e *Engine) ComboPicked(i int, label string) {
-	if i < 0 || i >= NumCombos {
+	if e == nil || i < 0 || i >= NumCombos {
 		return
 	}
 	c := &e.combos[i]
@@ -126,17 +160,20 @@ func (e *Engine) ComboPicked(i int, label string) {
 		l := label
 		c.label.Store(&l)
 	}
-	c.picks.Inc()
+	c.picks.Add(1)
 }
 
 // ComboAnalyzed records one completed block analysis with the given combo:
 // the per-combo block count and total time, the global BlocksAnalyzed
-// counter and the BlockNs histogram.
+// counter and the block-time histogram.
 //
 //mce:hotpath per-block combo accounting
 func (e *Engine) ComboAnalyzed(i int, label string, d time.Duration) {
-	e.BlocksAnalyzed.Inc()
-	e.BlockNs.Observe(int64(d))
+	if e == nil {
+		return
+	}
+	e.Inc(BlocksAnalyzed)
+	e.blockNs.Observe(int64(d))
 	if i < 0 || i >= NumCombos {
 		return
 	}
@@ -145,7 +182,7 @@ func (e *Engine) ComboAnalyzed(i int, label string, d time.Duration) {
 		l := label
 		c.label.Store(&l)
 	}
-	c.blocks.Inc()
+	c.blocks.Add(1)
 	c.ns.Add(int64(d))
 }
 
@@ -157,16 +194,36 @@ type BlockInstr struct {
 	PivotSelections int64
 }
 
+// NewBlockInstr returns per-worker block scratch, or nil when e is nil, so
+// the telemetry-disabled path allocates nothing.
+func (e *Engine) NewBlockInstr() *BlockInstr {
+	if e == nil {
+		return nil
+	}
+	return &BlockInstr{}
+}
+
+// Add accumulates one block's recursion counts; a nil receiver ignores them.
+//
+//mce:hotpath per-block counter accumulation
+func (ins *BlockInstr) Add(recursionNodes, pivotSelections int64) {
+	if ins == nil {
+		return
+	}
+	ins.RecursionNodes += recursionNodes
+	ins.PivotSelections += pivotSelections
+}
+
 // MergeBlockInstr folds one block's counters into the shared engine (two
 // atomic adds) and resets ins for reuse.
 //
 //mce:hotpath per-block counter merge
 func (e *Engine) MergeBlockInstr(ins *BlockInstr) {
-	if ins == nil {
+	if e == nil || ins == nil {
 		return
 	}
-	e.RecursionNodes.Add(ins.RecursionNodes)
-	e.PivotSelections.Add(ins.PivotSelections)
+	e.Add(RecursionNodes, ins.RecursionNodes)
+	e.Add(PivotSelections, ins.PivotSelections)
 	*ins = BlockInstr{}
 }
 
@@ -178,9 +235,9 @@ type ComboStat struct {
 	TotalNs int64  `json:"total_ns"`
 }
 
-// Snapshot is a point-in-time JSON view of an Engine. Field semantics match
-// the Engine field of the same name; Combos lists only slots that were ever
-// picked or analysed.
+// Snapshot is a point-in-time JSON view of an Engine. Each int64 counter
+// field holds the Metric of the same name; Combos lists only slots that
+// were ever picked or analysed.
 type Snapshot struct {
 	BlocksBuilt        int64 `json:"blocks_built"`
 	KernelNodes        int64 `json:"kernel_nodes"`
@@ -241,58 +298,70 @@ type Snapshot struct {
 	Endpoints []EndpointStat `json:"endpoints,omitempty"`
 }
 
-// Snapshot captures the engine's current state. It is safe to call while
-// the run is in flight; counters are read individually, so totals may be
-// off by the updates racing the read — fine for progress reporting.
+// fields maps every Metric to its Snapshot field. It is the only place the
+// two are tied together.
+func (s *Snapshot) fields() [numMetrics]*int64 {
+	return [numMetrics]*int64{
+		BlocksBuilt:             &s.BlocksBuilt,
+		KernelNodes:             &s.KernelNodes,
+		BorderNodes:             &s.BorderNodes,
+		VisitedNodes:            &s.VisitedNodes,
+		LevelsCompleted:         &s.LevelsCompleted,
+		CliquesFound:            &s.CliquesFound,
+		HubCliquesFiltered:      &s.HubCliquesFiltered,
+		FilterNs:                &s.FilterNs,
+		QueueDepth:              &s.QueueDepth,
+		BlocksAnalyzed:          &s.BlocksAnalyzed,
+		RecursionNodes:          &s.RecursionNodes,
+		PivotSelections:         &s.PivotSelections,
+		TasksInFlight:           &s.TasksInFlight,
+		TaskRetries:             &s.TaskRetries,
+		Reconnects:              &s.Reconnects,
+		PoisonTasks:             &s.PoisonTasks,
+		CorruptResults:          &s.CorruptResults,
+		BytesSent:               &s.BytesSent,
+		BytesReceived:           &s.BytesReceived,
+		HedgedDispatches:        &s.HedgedDispatches,
+		HedgeWins:               &s.HedgeWins,
+		HedgeWasted:             &s.HedgeWasted,
+		WorkersQuarantined:      &s.WorkersQuarantined,
+		WorkerProbes:            &s.WorkerProbes,
+		BackpressurePauses:      &s.BackpressurePauses,
+		BackpressureNs:          &s.BackpressureNs,
+		CheckpointDegraded:      &s.CheckpointDegraded,
+		TasksServed:             &s.TasksServed,
+		TaskErrors:              &s.TaskErrors,
+		TaskPanics:              &s.TaskPanics,
+		CheckpointRecords:       &s.CheckpointRecords,
+		CheckpointBytes:         &s.CheckpointBytes,
+		CheckpointReplayNs:      &s.CheckpointReplayNs,
+		CheckpointBlocksSkipped: &s.CheckpointBlocksSkipped,
+		QueriesAdmitted:         &s.QueriesAdmitted,
+		QueriesShed:             &s.QueriesShed,
+		QueriesTimedOut:         &s.QueriesTimedOut,
+		CacheHits:               &s.CacheHits,
+		CacheMisses:             &s.CacheMisses,
+		SingleflightShared:      &s.SingleflightShared,
+		DegradedServes:          &s.DegradedServes,
+		IndexRebuilds:           &s.IndexRebuilds,
+	}
+}
+
+// Snapshot captures the engine's current state; on a nil engine it is the
+// zero Snapshot. It is safe to call while the run is in flight; counters
+// are read individually, so totals may be off by the updates racing the
+// read — fine for progress reporting.
 func (e *Engine) Snapshot() Snapshot {
+	if e == nil {
+		return Snapshot{}
+	}
 	s := Snapshot{
-		BlocksBuilt:        e.BlocksBuilt.Load(),
-		KernelNodes:        e.KernelNodes.Load(),
-		BorderNodes:        e.BorderNodes.Load(),
-		VisitedNodes:       e.VisitedNodes.Load(),
-		LevelsCompleted:    e.LevelsCompleted.Load(),
-		CliquesFound:       e.CliquesFound.Load(),
-		HubCliquesFiltered: e.HubCliquesFiltered.Load(),
-		FilterNs:           e.FilterNs.Load(),
-		QueueDepth:         e.QueueDepth.Load(),
-		BlocksAnalyzed:     e.BlocksAnalyzed.Load(),
-		RecursionNodes:     e.RecursionNodes.Load(),
-		PivotSelections:    e.PivotSelections.Load(),
-		TasksInFlight:      e.TasksInFlight.Load(),
-		TaskRetries:        e.TaskRetries.Load(),
-		Reconnects:         e.Reconnects.Load(),
-		PoisonTasks:        e.PoisonTasks.Load(),
-		CorruptResults:     e.CorruptResults.Load(),
-		BytesSent:          e.BytesSent.Load(),
-		BytesReceived:      e.BytesReceived.Load(),
-		HedgedDispatches:   e.HedgedDispatches.Load(),
-		HedgeWins:          e.HedgeWins.Load(),
-		HedgeWasted:        e.HedgeWasted.Load(),
-		WorkersQuarantined: e.WorkersQuarantined.Load(),
-		WorkerProbes:       e.WorkerProbes.Load(),
-		BackpressurePauses: e.BackpressurePauses.Load(),
-		BackpressureNs:     e.BackpressureNs.Load(),
-		CheckpointDegraded: e.CheckpointDegraded.Load(),
-		TasksServed:        e.TasksServed.Load(),
-		TaskErrors:         e.TaskErrors.Load(),
-		TaskPanics:         e.TaskPanics.Load(),
-
-		CheckpointRecords:       e.CheckpointRecords.Load(),
-		CheckpointBytes:         e.CheckpointBytes.Load(),
-		CheckpointReplayNs:      e.CheckpointReplayNs.Load(),
-		CheckpointBlocksSkipped: e.CheckpointBlocksSkipped.Load(),
-		QueriesAdmitted:         e.QueriesAdmitted.Load(),
-		QueriesShed:             e.QueriesShed.Load(),
-		QueriesTimedOut:         e.QueriesTimedOut.Load(),
-		CacheHits:               e.CacheHits.Load(),
-		CacheMisses:             e.CacheMisses.Load(),
-		SingleflightShared:      e.SingleflightShared.Load(),
-		DegradedServes:          e.DegradedServes.Load(),
-		IndexRebuilds:           e.IndexRebuilds.Load(),
-
-		BlockNs:     e.BlockNs.Snapshot(),
-		RoundTripNs: e.RoundTripNs.Snapshot(),
-		QueryNs:     e.QueryNs.Snapshot(),
+		BlockNs:     e.blockNs.Snapshot(),
+		RoundTripNs: e.roundTripNs.Snapshot(),
+		QueryNs:     e.queryNs.Snapshot(),
+	}
+	for m, f := range s.fields() {
+		*f = e.metrics[m].Load()
 	}
 	for i := range e.combos {
 		c := &e.combos[i]

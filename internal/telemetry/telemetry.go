@@ -5,9 +5,9 @@
 // mcefind) and the final Stats.Telemetry record of a run.
 //
 // The layer is stdlib-only and allocation-free on the update path: every
-// metric is a fixed-size struct of atomics, so instrumented code adds a
-// nil-check plus an atomic add to the paper-faithful fast path and nothing
-// at all when telemetry is disabled (a nil *Engine).
+// metric is an atomic slot in a fixed-size array indexed by Metric. A nil
+// *Engine means telemetry is disabled, and every update method is a no-op
+// on it, so instrumented code calls them unconditionally.
 package telemetry
 
 import (
@@ -17,37 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds 1.
-//
-//mce:hotpath instrumentation fast path
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be ≥ 0 for the value to stay monotonic).
-//
-//mce:hotpath instrumentation fast path
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value that can move both ways
-// (e.g. queue depth, tasks in flight).
-type Gauge struct{ v atomic.Int64 }
-
-// Add moves the gauge by n (negative to decrease).
-//
-//mce:hotpath instrumentation fast path
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram is a bounded histogram over int64 values with fixed bucket
 // boundaries: bucket i counts observations v with bounds[i-1] ≤ v < bounds[i]
@@ -119,9 +88,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 }
-
-// ObserveSince records the elapsed time since t0 in nanoseconds.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(int64(time.Since(t0))) }
 
 // Snapshot returns a consistent-enough copy of the histogram for reporting.
 // Buckets are read individually, so a snapshot taken during concurrent

@@ -3,26 +3,26 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Load(); got != 42 {
+	e := NewEngine()
+	e.Inc(BlocksBuilt)
+	e.Add(BlocksBuilt, 41)
+	if got := e.Snapshot().BlocksBuilt; got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Add(5)
-	g.Add(-2)
-	if got := g.Load(); got != 3 {
+	e.Add(QueueDepth, 5)
+	e.Add(QueueDepth, -2)
+	if got := e.Snapshot().QueueDepth; got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
 	}
-	g.Set(-7)
-	if got := g.Load(); got != -7 {
+	e.Add(QueueDepth, -10)
+	if got := e.Snapshot().QueueDepth; got != -7 {
 		t.Fatalf("gauge = %d, want -7", got)
 	}
 }
@@ -129,13 +129,13 @@ func TestDurationHistogramCoversTypicalLatencies(t *testing.T) {
 
 func TestEngineSnapshotAndJSON(t *testing.T) {
 	e := NewEngine()
-	e.BlocksBuilt.Add(4)
-	e.KernelNodes.Add(10)
-	e.QueueDepth.Set(2)
+	e.Add(BlocksBuilt, 4)
+	e.Add(KernelNodes, 10)
+	e.Add(QueueDepth, 2)
 	e.ComboPicked(5, "[Lists/Tomita]")
 	e.ComboPicked(5, "[Lists/Tomita]")
 	e.ComboAnalyzed(5, "[Lists/Tomita]", 3*time.Millisecond)
-	e.RoundTripNs.Observe(int64(time.Millisecond))
+	e.ObserveRoundTrip(time.Millisecond)
 	ins := &BlockInstr{RecursionNodes: 7, PivotSelections: 3}
 	e.MergeBlockInstr(ins)
 	if ins.RecursionNodes != 0 || ins.PivotSelections != 0 {
@@ -200,15 +200,14 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			ins := &BlockInstr{}
 			for i := 0; i < perWorker; i++ {
-				e.BlocksBuilt.Inc()
-				e.QueueDepth.Add(1)
+				e.Inc(BlocksBuilt)
+				e.Inc(QueueDepth)
 				e.ComboPicked(w%NumCombos, "combo")
 				e.ComboAnalyzed(w%NumCombos, "combo", time.Duration(i)*time.Microsecond)
-				e.RoundTripNs.Observe(int64(i))
-				ins.RecursionNodes += 2
-				ins.PivotSelections++
+				e.ObserveRoundTrip(time.Duration(i))
+				ins.Add(2, 1)
 				e.MergeBlockInstr(ins)
-				e.QueueDepth.Add(-1)
+				e.Add(QueueDepth, -1)
 				if i%500 == 0 {
 					_ = e.Snapshot() // snapshots race the updates by design
 				}
@@ -243,29 +242,84 @@ func TestConcurrentUpdates(t *testing.T) {
 }
 
 // TestHotPathZeroAllocs is the dynamic half of the hotalloc gate for the
-// instrumentation fast paths: the //mce:hotpath-annotated Counter.Inc/Add,
-// Gauge.Add, Histogram.Observe and the per-block MergeBlockInstr — both the
-// telemetry-disabled nil path and the enabled two-atomic-add merge — have no
-// entry in .mcevet/allocbudget.json (the engine's only budgeted sites are
-// the one-time ComboPicked/ComboAnalyzed label stores), so a run must
-// observe zero allocations too.
+// instrumentation fast paths: the //mce:hotpath-annotated Engine.Inc/Add,
+// Histogram.Observe, BlockInstr.Add and the per-block MergeBlockInstr — both
+// the telemetry-disabled nil path and the enabled two-atomic-add merge —
+// have no entry in .mcevet/allocbudget.json (the engine's only budgeted
+// sites are the one-time label stores), so a run must observe zero
+// allocations too.
 func TestHotPathZeroAllocs(t *testing.T) {
 	e := NewEngine()
+	var off *Engine
 	h := NewDurationHistogram()
-	var c Counter
-	var g Gauge
 	ins := &BlockInstr{}
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		c.Add(3)
-		g.Add(-1)
+		e.Inc(BlocksBuilt)
+		e.Add(KernelNodes, 3)
+		e.Add(QueueDepth, -1)
 		h.Observe(17)
-		ins.RecursionNodes = 5
-		ins.PivotSelections = 2
+		ins.Add(5, 2)
 		e.MergeBlockInstr(ins)
-		e.MergeBlockInstr(nil) // the telemetry-disabled path
+		// The telemetry-disabled path.
+		off.Inc(BlocksBuilt)
+		off.MergeBlockInstr(off.NewBlockInstr())
+		e.MergeBlockInstr(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("telemetry fast paths allocate %v/run, want 0", allocs)
+	}
+}
+
+// TestNilEngineIsNoOp pins the disabled-telemetry contract: every update
+// method is callable on a nil *Engine and a nil *BlockInstr, and a nil
+// engine snapshots to the zero Snapshot.
+func TestNilEngineIsNoOp(t *testing.T) {
+	var e *Engine
+	var ins *BlockInstr
+	e.Add(BlocksBuilt, 3)
+	e.Inc(QueueDepth)
+	e.ObserveRoundTrip(time.Millisecond)
+	e.ComboPicked(0, "combo")
+	e.ComboAnalyzed(0, "combo", time.Millisecond)
+	e.EndpointObserved(0, "endpoint", time.Millisecond, 500)
+	e.MergeBlockInstr(ins)
+	e.MergeBlockInstr(&BlockInstr{RecursionNodes: 1})
+	ins.Add(4, 2)
+	if got := e.NewBlockInstr(); got != nil {
+		t.Fatalf("nil engine handed out %p, want a nil *BlockInstr", got)
+	}
+	if s := e.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
+		t.Fatalf("nil engine snapshot = %+v, want zero", s)
+	}
+}
+
+// TestMetricSnapshotBijection bumps metric k by k+1 and checks that every
+// value lands in exactly one int64 Snapshot field and that no such field is
+// left unmapped: the Metric→field table is a bijection.
+func TestMetricSnapshotBijection(t *testing.T) {
+	e := NewEngine()
+	for m := Metric(0); m < numMetrics; m++ {
+		e.Add(m, int64(m)+1)
+	}
+	v := reflect.ValueOf(e.Snapshot())
+	seen := make(map[int64]string)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Int64 {
+			continue
+		}
+		name := v.Type().Field(i).Name
+		x := f.Int()
+		if x < 1 || x > int64(numMetrics) {
+			t.Errorf("Snapshot.%s = %d: no Metric maps to it", name, x)
+			continue
+		}
+		if prev, dup := seen[x]; dup {
+			t.Errorf("Metric %d lands in both Snapshot.%s and Snapshot.%s", x-1, prev, name)
+		}
+		seen[x] = name
+	}
+	if len(seen) != int(numMetrics) {
+		t.Errorf("%d of %d metrics reach a Snapshot field", len(seen), numMetrics)
 	}
 }

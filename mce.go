@@ -574,10 +574,7 @@ func (c *config) startProgress() (stop func()) {
 	if c.progress == nil {
 		return func() {}
 	}
-	eng := c.core.Metrics // setup resolves it before dialling
-	if eng == nil {
-		return func() {} // progress without telemetry has nothing to snapshot
-	}
+	eng := c.core.Metrics // setup creates it whenever progress is requested
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
