@@ -268,6 +268,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fmt.Sprint(v)
 	}
 
+	// finish reports poison-task skips and picks the exit code: a run that
+	// completed but skipped blocks has an incomplete clique set, which must
+	// not look like success to scripts.
+	finish := func(skipped int) int {
+		if skipped == 0 {
+			return 0
+		}
+		for _, v := range poisonVerdicts {
+			fmt.Fprintf(stderr, "mcefind: poison task skipped: block %d failed on %d workers: %s\n",
+				v.Block, v.Attempts, strings.Join(v.Causes, "; "))
+		}
+		fmt.Fprintf(stderr, "mcefind: completed with %d poison-task skip(s); the clique set is incomplete\n", skipped)
+		return exitIncomplete
+	}
+
 	if *stream {
 		if *commK > 0 || *countOnly {
 			fmt.Fprintln(stderr, "mcefind: -stream cannot combine with -communities or -count")
@@ -285,12 +300,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mcefind:", err)
 			return 1
 		}
+		if healthSummary != nil && healthSummary.Degraded() {
+			printHealthSummary(stderr, healthSummary)
+		}
 		if *stats {
 			fmt.Fprintf(stderr, "streamed %d cliques over %d levels\n",
 				st.TotalCliques, len(st.Levels))
 			printTelemetry(stderr, st.Telemetry)
 		}
-		return 0
+		return finish(st.SkippedBlocks)
 	}
 
 	// SIGINT/SIGTERM cancel the run cleanly: in-flight batches stop, and
@@ -372,22 +390,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// finish reports poison-task skips and picks the exit code: a run that
-	// completed but skipped blocks has an incomplete clique set, which must
-	// not look like success to scripts.
-	finish := func() int {
-		if res.Stats.SkippedBlocks == 0 {
-			return 0
-		}
-		for _, v := range poisonVerdicts {
-			fmt.Fprintf(stderr, "mcefind: poison task skipped: block %d failed on %d workers: %s\n",
-				v.Block, v.Attempts, strings.Join(v.Causes, "; "))
-		}
-		fmt.Fprintf(stderr, "mcefind: completed with %d poison-task skip(s); the clique set is incomplete\n",
-			res.Stats.SkippedBlocks)
-		return exitIncomplete
-	}
-
 	if *commK > 0 {
 		comms, err := mce.Communities(res, *commK)
 		if err != nil {
@@ -403,7 +405,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintln(w)
 		}
-		return finish()
+		return finish(res.Stats.SkippedBlocks)
 	}
 
 	if *countOnly {
@@ -414,7 +416,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintln(stdout, printed)
-		return finish()
+		return finish(res.Stats.SkippedBlocks)
 	}
 
 	w := bufio.NewWriter(stdout)
@@ -425,7 +427,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		writeClique(w, c, *format, name)
 	}
-	return finish()
+	return finish(res.Stats.SkippedBlocks)
 }
 
 // printHealthSummary renders the per-worker health report of a distributed

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,8 @@ import (
 
 	"mce"
 	"mce/internal/cliqdb"
+	"mce/internal/cluster"
+	"mce/internal/cluster/faultconn"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -159,6 +162,42 @@ func TestDistributedFlag(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, "-count", "-workers", "127.0.0.1:1", p); code != 1 {
 		t.Fatal("unreachable worker accepted")
+	}
+}
+
+// dyingWorker starts a worker whose every connection completes the
+// handshake and then dies on its first task, and returns its address.
+func dyingWorker(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dying := faultconn.Listener(ln, faultconn.Options{Seed: 1, CloseProb: 1, SkipOps: 4})
+	go func() {
+		for {
+			conn, err := dying.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _ = cluster.ServeConn(conn) }()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSkipPoisonExitsIncomplete: a run that skipped poison tasks has an
+// incomplete clique set and exits 3, on the batch and the -stream path
+// alike. Each skip costs one connection, so three workers leave a spare.
+func TestSkipPoisonExitsIncomplete(t *testing.T) {
+	workers := strings.Join([]string{dyingWorker(t), dyingWorker(t), dyingWorker(t)}, ",")
+	p := writeTriangleTail(t)
+	for _, mode := range []string{"-count", "-stream"} {
+		code, _, errs := runCmd(t, mode, "-m", "4", "-workers", workers, "-task-retries", "1", "-skip-poison", p)
+		if code != exitIncomplete || !strings.Contains(errs, "the clique set is incomplete") {
+			t.Fatalf("%s: code=%d, want %d; stderr=%q", mode, code, exitIncomplete, errs)
+		}
 	}
 }
 

@@ -294,7 +294,6 @@ func TestCheckpointIdentitySensitivity(t *testing.T) {
 	}
 
 	same := []Options{
-		{BlockSize: 12, UseExtensionFilter: true},
 		{BlockSize: 12, Schedule: ScheduleLPT},
 		{BlockSize: 12, Parallelism: 7},
 	}

@@ -8,8 +8,14 @@
 //  3. BLOCK-ANALYSIS enumerates each block's cliques with the combo chosen
 //     by the decision tree, in parallel or on a remote cluster (Executor);
 //  4. the whole procedure recurses on the subgraph induced by the hubs;
-//  5. hub-side cliques contained in feasible-side cliques are filtered out
-//     (Lemma 1), making the union exactly the maximal cliques of the input.
+//  5. hub-side cliques that some feasible node extends are filtered out
+//     (Lemma 1's extension test, equivalent to the paper's containment in a
+//     feasible-side clique), making the union exactly the maximal cliques of
+//     the input.
+//
+// One emit-driven recursion implements all five steps. Stream hands its
+// caller each clique as it is found; FindMaxCliques collects the same
+// cliques, in the same order, into a Result.
 //
 // Theorem 1 guarantees the recursion empties whenever m exceeds the
 // network's degeneracy; for smaller m the recursion can stall on the
@@ -41,8 +47,9 @@ import (
 // Executor runs BLOCK-ANALYSIS for a batch of blocks. combos[i] is the
 // data-structure/algorithm combination chosen for blocks[i]; the return
 // value holds the cliques of each block (global node IDs), indexed like
-// blocks. Implementations: LocalExecutor (in-process pool) and
-// cluster.Client (TCP workers).
+// blocks. The engine takes ownership of the returned slices: it may keep
+// them in the result or rewrite them in place. Implementations:
+// LocalExecutor (in-process pool) and cluster.Client (TCP workers).
 type Executor interface {
 	AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error)
 }
@@ -104,20 +111,9 @@ type Options struct {
 	// The cap triggers the same direct-core fallback as a stalled
 	// recursion, so results stay complete.
 	MaxLevels int
-	// UseExtensionFilter swaps the Lemma 1 containment filter (the paper's
-	// filter(Ch, Cf), which needs only the clique families) for the
-	// equivalent extension test against the graph: a hub clique is dropped
-	// iff some feasible node neighbours all its members. Output is
-	// identical; the extension test is usually faster when Cf is large.
-	UseExtensionFilter bool
 	// Schedule orders the blocks before dispatch; see the Schedule
 	// constants. Results are identical either way.
 	Schedule Schedule
-	// OnLevel, when non-nil, is invoked after each recursion level's block
-	// analysis completes, with that level's statistics — a progress hook
-	// for long runs. It must not block for long and must not call back
-	// into the engine.
-	OnLevel func(LevelStats)
 	// Metrics, when non-nil, receives live telemetry from every phase of
 	// the run (blocks, combo picks, per-block timings, filter time, and —
 	// through the executor — queue depth and algorithm counters). Nil
@@ -395,38 +391,15 @@ func FindMaxCliques(g *graph.Graph, opts Options) (*Result, error) {
 // ContextExecutor path when it has one, so cancelling stops an in-flight
 // distributed run rather than waiting for the current batch to finish.
 func FindMaxCliquesContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	if g.N() == 0 {
-		return nil, ErrNoNodes
-	}
-	maxDeg := g.MaxDegree()
-	m := resolveBlockSize(maxDeg, opts)
-	sel := selector(opts)
-	exec := opts.Executor
-	if exec == nil {
-		exec = &LocalExecutor{Parallelism: opts.Parallelism, Metrics: opts.Metrics, MemoryBudget: opts.MemoryBudget, IntraBlockParallelism: opts.IntraBlockParallelism}
-	}
-
-	res := &Result{Stats: Stats{BlockSize: m, MaxDegree: maxDeg}}
-	if err := findRecursive(ctx, g, m, sel, exec, opts, res, 0); err != nil {
+	res := &Result{}
+	stats, err := enumerate(ctx, g, opts, func(c []int32, level int) {
+		res.Cliques = append(res.Cliques, c)
+		res.Level = append(res.Level, level)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if cp := opts.Checkpoint; cp != nil {
-		if err := cp.FinishRun(); err != nil {
-			return nil, err
-		}
-		res.Stats.ResumedBlocks = int(cp.SkippedBlocks())
-		res.Stats.CheckpointDegraded = cp.Degraded()
-	}
-	res.Stats.TotalCliques = len(res.Cliques)
-	for _, lvl := range res.Level {
-		if lvl >= 1 {
-			res.Stats.HubCliques++
-		}
-	}
-	if opts.Metrics != nil {
-		snap := opts.Metrics.Snapshot()
-		res.Stats.Telemetry = &snap
-	}
+	res.Stats = *stats
 	return res, nil
 }
 
@@ -451,8 +424,8 @@ func resolveBlockSize(maxDeg int, opts Options) int {
 // (graph, options) pair must carry: the graph digest plus a digest of every
 // option that shapes the block plan or the result partitioning — the
 // resolved m, the second-level decomposition tuning, and the recursion cap.
-// Transport, scheduling and filtering options are excluded: they change how
-// blocks run, never which blocks exist or what each produces.
+// Transport and scheduling options are excluded: they change how blocks
+// run, never which blocks exist or what each produces.
 func CheckpointIdentity(g *graph.Graph, opts Options) runlog.Identity {
 	m := resolveBlockSize(g.MaxDegree(), opts)
 	minAdj := opts.Block.MinAdjacency
@@ -520,30 +493,82 @@ func baseSelector(opts Options) func(*decomp.Block) mcealg.Combo {
 	}
 }
 
-// findRecursive appends the maximal cliques of g (in the ID space of g,
-// translated by the caller) and their discovery levels to res. It implements
-// the body of Algorithm 1 at recursion depth level.
-func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.Block) mcealg.Combo, exec Executor, opts Options, res *Result, level int) error {
+// run holds what every level of one Algorithm 1 run shares.
+type run struct {
+	opts  Options
+	m     int
+	sel   func(*decomp.Block) mcealg.Combo
+	exec  Executor
+	stats *Stats
+}
+
+// enumerate is the one entry to Algorithm 1 behind both FindMaxCliques and
+// Stream: it resolves m, the combo selector and the executor, runs the
+// level loop from depth 0 and hands every maximal clique of g to emit, in
+// the engine's deterministic order, together with its discovery level. The
+// emitted slice belongs to emit.
+func enumerate(ctx context.Context, g *graph.Graph, opts Options, emit func(clique []int32, level int)) (*Stats, error) {
+	if g.N() == 0 {
+		return nil, ErrNoNodes
+	}
+	maxDeg := g.MaxDegree()
+	m := resolveBlockSize(maxDeg, opts)
+	exec := opts.Executor
+	if exec == nil {
+		exec = &LocalExecutor{Parallelism: opts.Parallelism, Metrics: opts.Metrics, MemoryBudget: opts.MemoryBudget, IntraBlockParallelism: opts.IntraBlockParallelism}
+	}
+	stats := &Stats{BlockSize: m, MaxDegree: maxDeg}
+	r := &run{opts: opts, m: m, sel: selector(opts), exec: exec, stats: stats}
+	err := r.level(ctx, g, 0, func(c []int32, level int) {
+		stats.TotalCliques++
+		if level >= 1 {
+			stats.HubCliques++
+		}
+		emit(c, level)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cp := opts.Checkpoint; cp != nil {
+		if err := cp.FinishRun(); err != nil {
+			return nil, err
+		}
+		stats.ResumedBlocks = int(cp.SkippedBlocks())
+		stats.CheckpointDegraded = cp.Degraded()
+	}
+	if opts.Metrics != nil {
+		snap := opts.Metrics.Snapshot()
+		stats.Telemetry = &snap
+	}
+	return stats, nil
+}
+
+// level runs the body of Algorithm 1 at recursion depth level: it hands
+// every maximal clique of g (in g's IDs) to emit with the depth it was found
+// at — first the cliques of this level's blocks, then the hub recursion's
+// survivors of the Lemma 1 filter. Every slice passed to emit is owned by
+// the receiver, which may keep or rewrite it.
+func (r *run) level(ctx context.Context, g *graph.Graph, level int, emit func(clique []int32, level int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	met := opts.Metrics
+	opts, met := r.opts, r.opts.Metrics
 	start := time.Now()
-	feasible, hubs := decomp.Cut(g, m)
+	feasible, hubs := decomp.Cut(g, r.m)
 
 	// Stalled recursion (Theorem 1 precondition violated: every remaining
 	// node is a hub, so the induced subgraph equals g) or depth cap: the
 	// remaining graph is the terminal (m+1)-core. Enumerate it directly —
 	// Lemma 1 still applies with C2 = all maximal cliques of this subgraph.
 	if len(feasible) == 0 || (opts.MaxLevels > 0 && level >= opts.MaxLevels && len(hubs) > 0) {
-		return enumerateCore(g, sel, opts, res, level, start)
+		return r.terminalCore(g, level, start, emit)
 	}
 
-	blocks := decomp.Blocks(g, feasible, m, opts.Block)
+	blocks := decomp.Blocks(g, feasible, r.m, opts.Block)
 	combos := make([]mcealg.Combo, len(blocks))
 	var kernelSum, borderSum, visitedSum int
 	for i := range blocks {
-		combos[i] = sel(&blocks[i])
+		combos[i] = r.sel(&blocks[i])
 		kernelSum += len(blocks[i].Kernel)
 		borderSum += len(blocks[i].Border)
 		visitedSum += len(blocks[i].Visited)
@@ -559,85 +584,56 @@ func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.
 	var perBlock [][][]int32
 	var err error
 	if cp := opts.Checkpoint; cp != nil {
-		perBlock, err = analyzeCheckpointed(ctx, cp, exec, blocks, combos, opts.Schedule, level)
+		perBlock, err = analyzeCheckpointed(ctx, cp, r.exec, blocks, combos, opts.Schedule, level)
 	} else {
-		perBlock, err = analyzeScheduled(ctx, exec, blocks, combos, opts.Schedule, nil, nil)
+		perBlock, err = analyzeScheduled(ctx, r.exec, blocks, combos, opts.Schedule, nil, nil)
 	}
 	if err != nil {
 		return err
 	}
-	cfStart := len(res.Cliques)
+	found := 0
 	for _, cliques := range perBlock {
 		for _, c := range cliques {
-			res.Cliques = append(res.Cliques, c)
-			res.Level = append(res.Level, level)
+			emit(c, level)
 		}
+		found += len(cliques)
 	}
-	analysisTime := time.Since(start)
-
-	res.Stats.Levels = append(res.Stats.Levels, LevelStats{
+	r.stats.Levels = append(r.stats.Levels, LevelStats{
 		Nodes: g.N(), Edges: g.M(),
 		Feasible: len(feasible), Hubs: len(hubs),
 		Blocks: len(blocks),
 		Kernel: kernelSum, Border: borderSum, Visited: visitedSum,
-		Cliques: len(res.Cliques) - cfStart,
-		Decomp:  decompTime, Analysis: analysisTime,
+		Cliques: found,
+		Decomp:  decompTime, Analysis: time.Since(start),
 	})
-	met.Add(telemetry.CliquesFound, int64(len(res.Cliques)-cfStart))
+	met.Add(telemetry.CliquesFound, int64(found))
 	met.Inc(telemetry.LevelsCompleted)
-	if opts.OnLevel != nil {
-		opts.OnLevel(res.Stats.Levels[len(res.Stats.Levels)-1])
-	}
 
 	if len(hubs) == 0 {
 		return nil
 	}
 
-	// Recursive call on the hub-induced subgraph (Algorithm 1, line 6).
+	// Recurse on the hub-induced subgraph (Algorithm 1, line 6). Each
+	// hub-side clique is translated to this level's IDs in place and
+	// dropped when a feasible node extends it (line 7; Lemma 1).
 	sub, orig := graph.Induced(g, hubs)
-	subRes := &Result{}
-	if err := findRecursive(ctx, sub, m, sel, exec, opts, subRes, level+1); err != nil {
-		return err
-	}
-	res.Stats.Levels = append(res.Stats.Levels, subRes.Stats.Levels...)
-	res.Stats.CoreFallback = res.Stats.CoreFallback || subRes.Stats.CoreFallback
-	res.Stats.FilterTime += subRes.Stats.FilterTime
-
-	// Translate hub-side cliques to this level's IDs, then filter against
-	// this level's feasible-side cliques (Algorithm 1, line 7; Lemma 1).
-	ch := make([][]int32, len(subRes.Cliques))
-	for i, c := range subRes.Cliques {
-		t := make([]int32, len(c))
+	feasSet := bitset.FromSlice(g.N(), feasible)
+	isFeasible := func(v int32) bool { return feasSet.Has(v) }
+	return r.level(ctx, sub, level+1, func(c []int32, depth int) {
 		for j, v := range c {
-			t[j] = orig[v]
+			c[j] = orig[v] // stays ascending: orig is ascending
 		}
-		ch[i] = t // already ascending: orig is ascending and c is ascending
-	}
-	start = time.Now()
-	var drop func(c []int32) bool
-	if opts.UseExtensionFilter {
-		feasSet := bitset.FromSlice(g.N(), feasible)
-		isFeasible := func(v int32) bool { return feasSet.Has(v) }
-		drop = func(c []int32) bool { return filter.Extensible(g, c, isFeasible) }
-	} else {
-		ix := filter.NewIndex(res.Cliques[cfStart:])
-		drop = ix.ContainedIn
-	}
-	dropped := 0
-	for i, c := range ch {
-		if drop(c) {
-			dropped++
-			continue
+		t0 := time.Now()
+		drop := filter.Extensible(g, c, isFeasible)
+		elapsed := time.Since(t0)
+		r.stats.FilterTime += elapsed
+		met.Add(telemetry.FilterNs, int64(elapsed))
+		if drop {
+			met.Inc(telemetry.HubCliquesFiltered)
+			return
 		}
-		res.Cliques = append(res.Cliques, c)
-		// subRes was built with level+1, so its Level entries are
-		// already absolute recursion depths.
-		res.Level = append(res.Level, subRes.Level[i])
-	}
-	res.Stats.FilterTime += time.Since(start)
-	met.Add(telemetry.FilterNs, int64(time.Since(start)))
-	met.Add(telemetry.HubCliquesFiltered, int64(dropped))
-	return nil
+		emit(c, depth)
+	})
 }
 
 // analyzeCheckpointed runs one level's batch against the checkpoint: the
@@ -764,38 +760,42 @@ func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block,
 	return out, nil
 }
 
-// enumerateCore handles the terminal core directly with a single MCE run.
+// terminalCore handles the terminal core directly with a single MCE run.
 // Under a checkpoint it is journaled as a one-block level, so a resumed run
-// loads the terminal core's cliques from its segment too. This is exactly
-// where intra-block parallelism matters most: the terminal hub core is one
-// dense enumeration with no block-level parallelism to hide behind.
-func enumerateCore(g *graph.Graph, sel func(*decomp.Block) mcealg.Combo, opts Options, res *Result, level int, start time.Time) error {
-	cp, met := opts.Checkpoint, opts.Metrics
+// loads the terminal core's cliques from its segment too; without one the
+// cliques stream straight to emit. This is exactly where intra-block
+// parallelism matters most: the terminal hub core is one dense enumeration
+// with no block-level parallelism to hide behind.
+func (r *run) terminalCore(g *graph.Graph, level int, start time.Time, emit func([]int32, int)) error {
+	cp, met := r.opts.Checkpoint, r.opts.Metrics
 	id := runlog.BlockID{Level: level, Plan: 0}
-	first := len(res.Cliques)
+	var cliques [][]int32
 	resumed := false
 	if cp != nil {
 		if err := cp.BeginLevel(level, 1); err != nil {
 			return err
 		}
-		var cliques [][]int32
-		if cliques, resumed = cp.DoneCliques(id); resumed {
-			res.Cliques = append(res.Cliques, cliques...)
-		}
+		cliques, resumed = cp.DoneCliques(id)
 	}
+	n := 0
 	if !resumed {
-		combo := sel(wholeGraphBlock(g))
+		combo := r.sel(wholeGraphBlock(g))
 		met.ComboPicked(combo.Index(), combo.Label())
-		err := mcealg.EnumeratePar(g, combo, corePar(opts), func(c []int32) {
+		err := mcealg.EnumeratePar(g, combo, corePar(r.opts), func(c []int32) {
 			dup := make([]int32, len(c))
 			copy(dup, c)
-			res.Cliques = append(res.Cliques, dup)
+			if cp != nil {
+				cliques = append(cliques, dup)
+				return
+			}
+			emit(dup, level)
+			n++
 		})
 		if err != nil {
 			return err
 		}
 		if cp != nil {
-			if err := cp.BlockDone(id, res.Cliques[first:]); err != nil {
+			if err := cp.BlockDone(id, cliques); err != nil {
 				return err
 			}
 		}
@@ -804,13 +804,13 @@ func enumerateCore(g *graph.Graph, sel func(*decomp.Block) mcealg.Combo, opts Op
 		if err := cp.EndLevel(level); err != nil {
 			return err
 		}
+		for _, c := range cliques {
+			emit(c, level)
+		}
+		n = len(cliques)
 	}
-	n := len(res.Cliques) - first
-	for range n {
-		res.Level = append(res.Level, level)
-	}
-	res.Stats.CoreFallback = true
-	res.Stats.Levels = append(res.Stats.Levels, LevelStats{
+	r.stats.CoreFallback = true
+	r.stats.Levels = append(r.stats.Levels, LevelStats{
 		Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
 		Cliques: n, Analysis: time.Since(start),
 	})

@@ -412,29 +412,6 @@ func BenchmarkFindMaxCliques(b *testing.B) {
 	}
 }
 
-func TestExtensionFilterEquivalent(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 5, 23)
-	for _, ratio := range []float64{0.5, 0.2} {
-		a, err := FindMaxCliques(g, Options{BlockRatio: ratio})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := FindMaxCliques(g, Options{BlockRatio: ratio, UseExtensionFilter: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Cliques) != len(b.Cliques) {
-			t.Fatalf("ratio %v: containment %d vs extension %d cliques", ratio, len(a.Cliques), len(b.Cliques))
-		}
-		for i := range a.Cliques {
-			if key(a.Cliques[i]) != key(b.Cliques[i]) || a.Level[i] != b.Level[i] {
-				t.Fatalf("ratio %v: results diverge at %d", ratio, i)
-			}
-		}
-		assertComplete(t, g, b)
-	}
-}
-
 func TestLPTScheduleSameOutput(t *testing.T) {
 	g := gen.HolmeKim(600, 5, 0.7, 29)
 	fifo, err := FindMaxCliques(g, Options{BlockRatio: 0.4})
@@ -502,49 +479,6 @@ func TestLPTDispatchesHeaviestFirst(t *testing.T) {
 	}
 	if above > len(tr.sizes)/2 {
 		t.Fatalf("first dispatched block is not among the heaviest: %v", tr.sizes[:5])
-	}
-}
-
-func TestOnLevelProgressHook(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 4, 45)
-	var seen []LevelStats
-	res, err := FindMaxCliques(g, Options{
-		BlockRatio: 0.2,
-		OnLevel:    func(ls LevelStats) { seen = append(seen, ls) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hook fires once per non-fallback level, in order.
-	want := 0
-	for _, ls := range res.Stats.Levels {
-		if ls.Blocks > 0 {
-			want++
-		}
-	}
-	if len(seen) != want {
-		t.Fatalf("hook fired %d times, want %d", len(seen), want)
-	}
-	if seen[0].Nodes != g.N() {
-		t.Fatalf("first hook nodes = %d, want %d", seen[0].Nodes, g.N())
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i].Nodes >= seen[i-1].Nodes {
-			t.Fatalf("levels not shrinking: %d then %d nodes", seen[i-1].Nodes, seen[i].Nodes)
-		}
-	}
-
-	// The streaming engine honours the same hook.
-	var streamed int
-	_, err = Stream(g, Options{
-		BlockRatio: 0.2,
-		OnLevel:    func(LevelStats) { streamed++ },
-	}, func([]int32, int) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != want {
-		t.Fatalf("stream hook fired %d times, want %d", streamed, want)
 	}
 }
 

@@ -30,7 +30,7 @@ func collectStream(t *testing.T, g *graph.Graph, opts Options) ([][]int32, []int
 func TestStreamMatchesBatch(t *testing.T) {
 	g := gen.HolmeKim(500, 5, 0.7, 37)
 	for _, ratio := range []float64{0.9, 0.4, 0.1} {
-		batch, err := FindMaxCliques(g, Options{BlockRatio: ratio, UseExtensionFilter: true})
+		batch, err := FindMaxCliques(g, Options{BlockRatio: ratio})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,16 +75,29 @@ func TestStreamCoreFallback(t *testing.T) {
 
 func TestStreamHardChain(t *testing.T) {
 	g := gen.HardChain(30, 4, 0)
-	cliques, _, stats := collectStream(t, g, Options{BlockSize: 5})
-	batch, err := FindMaxCliques(g, Options{BlockSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cliques) != len(batch.Cliques) {
-		t.Fatalf("hard chain: stream %d vs batch %d", len(cliques), len(batch.Cliques))
-	}
-	if len(stats.Levels) != len(batch.Stats.Levels) {
-		t.Fatalf("hard chain level counts: %d vs %d", len(stats.Levels), len(batch.Stats.Levels))
+	// The second case caps the recursion below its natural depth: the cap
+	// must fire at the same absolute depth on both engines.
+	for _, opts := range []Options{{BlockSize: 5}, {BlockSize: 5, MaxLevels: 2}} {
+		cliques, levels, stats := collectStream(t, g, opts)
+		batch, err := FindMaxCliques(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cliques) != len(batch.Cliques) {
+			t.Fatalf("MaxLevels %d: stream %d vs batch %d cliques", opts.MaxLevels, len(cliques), len(batch.Cliques))
+		}
+		for i := range cliques {
+			if key(cliques[i]) != key(batch.Cliques[i]) || levels[i] != batch.Level[i] {
+				t.Fatalf("MaxLevels %d: stream diverges at %d: %v/%d vs %v/%d",
+					opts.MaxLevels, i, cliques[i], levels[i], batch.Cliques[i], batch.Level[i])
+			}
+		}
+		if len(stats.Levels) != len(batch.Stats.Levels) {
+			t.Fatalf("MaxLevels %d: level counts %d vs %d", opts.MaxLevels, len(stats.Levels), len(batch.Stats.Levels))
+		}
+		if stats.CoreFallback != batch.Stats.CoreFallback {
+			t.Fatalf("MaxLevels %d: CoreFallback stream %v, batch %v", opts.MaxLevels, stats.CoreFallback, batch.Stats.CoreFallback)
+		}
 	}
 }
 

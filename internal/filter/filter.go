@@ -8,10 +8,10 @@
 // test against an inverted index over Cf. ByExtension exploits Lemma 1's
 // case analysis: a clique c that is maximal in the hub-induced subgraph is
 // non-maximal in G exactly when some feasible node is adjacent to every node
-// of c — no index over Cf needed. Both are exposed because the first matches
-// the paper's data flow (workers only ship cliques, not the graph), while
-// the second is faster when the full graph is at hand; tests assert they
-// agree.
+// of c — no index over Cf needed. The engine uses the extension test
+// (Extensible) on every path, since the coordinator always holds the graph;
+// the containment filter stays as the reference that matches the paper's
+// data flow, and tests assert the two agree.
 package filter
 
 import (

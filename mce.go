@@ -218,15 +218,6 @@ func WithHeaviestFirst() Option {
 	}
 }
 
-// WithExtensionFilter switches the Lemma 1 filter to the extension test
-// against the graph; output is identical, speed differs with workload.
-func WithExtensionFilter() Option {
-	return func(c *config) error {
-		c.core.UseExtensionFilter = true
-		return nil
-	}
-}
-
 // WithWorkers distributes block analysis over mceworker processes at the
 // given TCP addresses.
 func WithWorkers(addrs ...string) Option {
@@ -528,6 +519,26 @@ func Enumerate(g *Graph, opts ...Option) (*Result, error) {
 // the run between recursion levels and cancels block batches already in
 // flight, locally and on remote workers.
 func EnumerateContext(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
+	var res *Result
+	_, err := run(ctx, g, opts, func(o core.Options) (*Stats, error) {
+		var err error
+		if res, err = core.FindMaxCliquesContext(ctx, g, o); err != nil {
+			return nil, err
+		}
+		return &res.Stats, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// run wraps a core entry point, enumerate, in everything Enumerate and
+// EnumerateStream share: it resolves the options, dials the workers (and
+// reports their health however the run ends), opens the checkpoint, drives
+// the WithProgress ticker, and records poison-task skips in the Stats
+// enumerate returns.
+func run(ctx context.Context, g *Graph, opts []Option, enumerate func(core.Options) (*Stats, error)) (*Stats, error) {
 	cfg, client, err := setup(ctx, opts)
 	if err != nil {
 		return nil, err
@@ -552,19 +563,19 @@ func EnumerateContext(ctx context.Context, g *Graph, opts ...Option) (*Result, e
 		cfg.core.Checkpoint = cp
 	}
 	defer cfg.startProgress()()
-	res, err := core.FindMaxCliquesContext(ctx, g, cfg.core)
+	stats, err := enumerate(cfg.core)
 	if err != nil {
 		return nil, err
 	}
 	if client != nil {
 		if vs := client.PoisonVerdicts(); len(vs) > 0 {
-			res.Stats.SkippedBlocks = len(vs)
+			stats.SkippedBlocks = len(vs)
 			if cfg.poisonReport != nil {
 				cfg.poisonReport(vs)
 			}
 		}
 	}
-	return res, nil
+	return stats, nil
 }
 
 // startProgress launches the WithProgress ticker goroutine and returns its
@@ -638,9 +649,13 @@ func CountMaxCliques(g *Graph, opts ...Option) (int, error) {
 
 // EnumerateStream is Enumerate without result accumulation: emit receives
 // each maximal clique as soon as its block batch completes (ascending node
-// IDs, slice reused — copy to retain) together with the hub recursion level
+// IDs; copy the slice to retain it) together with the hub recursion level
 // it was found at. Use it when the clique family may not fit in memory.
-// Order and content match Enumerate exactly.
+// Both run the same recursion — Enumerate only collects what
+// EnumerateStream emits — so the cliques, their order and levels, and the
+// Stats counts match Enumerate exactly, poison-task skips
+// (Stats.SkippedBlocks, WithPoisonReport) and WithWorkerHealthReport
+// included. WithCheckpoint is refused.
 func EnumerateStream(g *Graph, emit func(clique []int32, hubLevel int), opts ...Option) (*Stats, error) {
 	return EnumerateStreamContext(context.Background(), g, emit, opts...)
 }
@@ -648,21 +663,18 @@ func EnumerateStream(g *Graph, emit func(clique []int32, hubLevel int), opts ...
 // EnumerateStreamContext is EnumerateStream with cancellation, mirroring
 // EnumerateContext.
 func EnumerateStreamContext(ctx context.Context, g *Graph, emit func(clique []int32, hubLevel int), opts ...Option) (*Stats, error) {
-	cfg, client, err := setup(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.checkpointDir != "" {
-		if client != nil {
-			client.Close()
+	// Applied after the caller's options, so it sees whether any of them
+	// asked for a checkpoint — before a worker is dialled or a directory
+	// created.
+	opts = append(opts[:len(opts):len(opts)], func(c *config) error {
+		if c.checkpointDir != "" {
+			return fmt.Errorf("mce: WithCheckpoint is not supported with streaming enumeration (a resume would re-emit cliques already delivered); use Enumerate")
 		}
-		return nil, fmt.Errorf("mce: WithCheckpoint is not supported with streaming enumeration (a resume would re-emit cliques already delivered); use Enumerate")
-	}
-	if client != nil {
-		defer client.Close()
-	}
-	defer cfg.startProgress()()
-	return core.StreamContext(ctx, g, cfg.core, emit)
+		return nil
+	})
+	return run(ctx, g, opts, func(o core.Options) (*Stats, error) {
+		return core.StreamContext(ctx, g, o, emit)
+	})
 }
 
 // StartLocalWorkers launches n block-analysis workers on ephemeral

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"mce/internal/cluster"
+	"mce/internal/cluster/faultconn"
 )
 
 func key(c []int32) string {
@@ -184,7 +188,7 @@ func TestSchedulingAndFilterOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Enumerate(g, WithBlockRatio(0.3), WithHeaviestFirst(), WithExtensionFilter())
+	tuned, err := Enumerate(g, WithBlockRatio(0.3), WithHeaviestFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +204,7 @@ func TestSchedulingAndFilterOptions(t *testing.T) {
 
 func TestEnumerateStreamPublicAPI(t *testing.T) {
 	g := GenerateSocialNetwork(300, 4, 0.6, 33)
-	batch, err := Enumerate(g, WithBlockRatio(0.3), WithExtensionFilter())
+	batch, err := Enumerate(g, WithBlockRatio(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +227,13 @@ func TestEnumerateStreamPublicAPI(t *testing.T) {
 	}
 	if _, err := EnumerateStream(g, func([]int32, int) {}, WithBlockRatio(9)); err == nil {
 		t.Fatal("bad option accepted")
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := EnumerateStream(g, func([]int32, int) {}, WithCheckpoint(dir)); err == nil {
+		t.Fatal("streaming accepted a checkpoint")
+	}
+	if HasCheckpoint(dir) {
+		t.Fatal("refused streaming run still created checkpoint state")
 	}
 }
 
@@ -318,6 +329,70 @@ func TestEnumerateDistributedWithFaultOptions(t *testing.T) {
 	if report.Degraded() || report.Connected != 2 || len(report.Addrs) != 2 {
 		t.Fatalf("report = %+v, want clean 2-worker start", *report)
 	}
+}
+
+// TestPoisonSkipsReportedOnBothPaths runs Enumerate and EnumerateStream
+// against a worker whose every connection dies on its first task after the
+// handshake. With one retry and skip-poison mode each block becomes a
+// recorded skip, and both paths must surface it: Stats.SkippedBlocks, the
+// poison report and the health report.
+func TestPoisonSkipsReportedOnBothPaths(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// SkipOps covers the handshake (up to two reads for the hello, two
+	// writes for the ack); the first task's round trip then closes.
+	dying := faultconn.Listener(ln, faultconn.Options{Seed: 1, CloseProb: 1, SkipOps: 4})
+	go func() {
+		for {
+			conn, err := dying.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _ = cluster.ServeConn(conn) }()
+		}
+	}()
+
+	// With m above every degree the whole graph is one level with a block
+	// or two; each skip costs one connection, so open spares.
+	g := GenerateErdosRenyi(30, 0.3, 19)
+	run := func(name string, enumerate func(opts ...Option) (*Stats, error)) {
+		var verdicts []PoisonVerdict
+		healthReported := false
+		stats, err := enumerate(
+			WithBlockSize(g.N()),
+			WithWorkers(ln.Addr().String()),
+			WithWorkerStreams(8),
+			WithTaskRetries(1),
+			WithSkipPoisonTasks(),
+			WithPoisonReport(func(vs []PoisonVerdict) { verdicts = vs }),
+			WithWorkerHealthReport(func(HealthReport) { healthReported = true }),
+		)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.SkippedBlocks == 0 || stats.SkippedBlocks != stats.Levels[0].Blocks {
+			t.Fatalf("%s: SkippedBlocks = %d, want every one of %d blocks", name, stats.SkippedBlocks, stats.Levels[0].Blocks)
+		}
+		if len(verdicts) != stats.SkippedBlocks {
+			t.Fatalf("%s: poison report carried %d verdicts, want %d", name, len(verdicts), stats.SkippedBlocks)
+		}
+		if !healthReported {
+			t.Fatalf("%s: worker health report never fired", name)
+		}
+	}
+	run("Enumerate", func(opts ...Option) (*Stats, error) {
+		res, err := Enumerate(g, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return &res.Stats, nil
+	})
+	run("EnumerateStream", func(opts ...Option) (*Stats, error) {
+		return EnumerateStream(g, func([]int32, int) {}, opts...)
+	})
 }
 
 func TestEnumerateContextCancelled(t *testing.T) {
