@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadBoundedAgreesWithLoad -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/runlog
 	$(GO) test -run=Fuzz -fuzz=FuzzIndexOpen -fuzztime=10s ./internal/cliqdb
+	$(GO) test -run=Fuzz -fuzz=FuzzInduced -fuzztime=10s ./internal/graph
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and
 # must resume to the exact clique set (chaos_resume_test.go), and the index

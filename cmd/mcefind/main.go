@@ -449,8 +449,9 @@ func printTelemetry(w io.Writer, s *mce.TelemetrySnapshot) {
 	if s == nil {
 		return
 	}
-	fmt.Fprintf(w, "telemetry: recursion-nodes=%d pivots=%d filter=%v filtered-hub-cliques=%d\n",
+	fmt.Fprintf(w, "telemetry: recursion-nodes=%d pivots=%d decomp=%v filter=%v filtered-hub-cliques=%d\n",
 		s.RecursionNodes, s.PivotSelections,
+		time.Duration(s.DecompNs).Round(time.Microsecond),
 		time.Duration(s.FilterNs).Round(time.Microsecond), s.HubCliquesFiltered)
 	if s.BlockNs.Count > 0 {
 		fmt.Fprintf(w, "telemetry: block latency mean=%v p50=%v p95=%v max=%v\n",

@@ -266,7 +266,7 @@ func TestStatsTelemetryLines(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errs)
 	}
-	if !strings.Contains(errs, "telemetry: recursion-nodes=") {
+	if !strings.Contains(errs, "telemetry: recursion-nodes=") || !strings.Contains(errs, " decomp=") {
 		t.Fatalf("no telemetry summary in stats: %q", errs)
 	}
 	if !strings.Contains(errs, "combo ") {

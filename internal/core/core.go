@@ -579,6 +579,7 @@ func (r *run) level(ctx context.Context, g *graph.Graph, level int, emit func(cl
 	met.Add(telemetry.BorderNodes, int64(borderSum))
 	met.Add(telemetry.VisitedNodes, int64(visitedSum))
 	decompTime := time.Since(start)
+	met.Add(telemetry.DecompNs, int64(decompTime))
 
 	start = time.Now()
 	var perBlock [][][]int32

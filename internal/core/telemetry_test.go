@@ -38,6 +38,9 @@ func TestFindMaxCliquesTelemetrySnapshot(t *testing.T) {
 	if s.LevelsCompleted != int64(len(res.Stats.Levels)) {
 		t.Fatalf("LevelsCompleted = %d, want %d", s.LevelsCompleted, len(res.Stats.Levels))
 	}
+	if len(res.Stats.Levels) < 2 || s.DecompNs <= 0 {
+		t.Fatalf("DecompNs = %d over %d levels, want > 0 on a multi-level run", s.DecompNs, len(res.Stats.Levels))
+	}
 	if s.QueueDepth != 0 || s.TasksInFlight != 0 {
 		t.Fatalf("gauges not back to zero: queue=%d inflight=%d", s.QueueDepth, s.TasksInFlight)
 	}

@@ -13,9 +13,9 @@
 package decomp
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"mce/internal/bitset"
 	"mce/internal/graph"
@@ -96,6 +96,8 @@ type Options struct {
 // partitions the feasible nodes into kernel sets of blocks of at most m
 // nodes, growing each block greedily along dense adjacency. The input graph
 // is not modified; feasible must contain only nodes with degree < m.
+//
+//mce:hotpath per-level Algorithm 3 growth and block materialisation
 func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	minAdj := opts.MinAdjacency
 	if minAdj < 1 {
@@ -112,6 +114,7 @@ func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	cover := bitset.New(n)       // K ∪ N(K) of the block under construction
 	inKernel := bitset.New(n)    // K of the block under construction
 	adjCount := make([]int32, n) // edges from candidate to current kernels
+	var inducer graph.Inducer    // one relabel table for every block
 
 	for _, start := range order {
 		if assigned.Has(start) {
@@ -183,7 +186,7 @@ func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 			addKernel(best)
 		}
 
-		blocks = append(blocks, assemble(g, kernels, cover, inKernel, assigned, isFeasible))
+		blocks = append(blocks, assemble(g, &inducer, kernels, cover, inKernel, assigned, isFeasible)) //lint:ignore hotslice the block count is known only after growth; len(order) bounds it loosely, one block per feasible node
 
 		for _, v := range touched {
 			adjCount[v] = 0
@@ -198,17 +201,16 @@ func seedOrder(g *graph.Graph, feasible []int32, opts Options) []int32 {
 	copy(order, feasible)
 	switch opts.Order {
 	case OrderID:
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		slices.Sort(order)
 	case OrderRandom:
 		rng := rand.New(rand.NewSource(opts.Seed))
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	default: // OrderDegreeAsc
-		sort.Slice(order, func(i, j int) bool {
-			di, dj := g.Degree(order[i]), g.Degree(order[j])
-			if di != dj {
-				return di < dj
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
+				return c
 			}
-			return order[i] < order[j]
+			return cmp.Compare(a, b)
 		})
 	}
 	return order
@@ -218,9 +220,9 @@ func seedOrder(g *graph.Graph, feasible []int32, opts Options) []int32 {
 // already include the new kernels; a neighbour is Visited when it was a
 // kernel of an earlier block, i.e. assigned but not in the current kernel
 // set.
-func assemble(g *graph.Graph, kernels []int32, cover, inKernel, assigned, isFeasible *bitset.Set) Block {
+func assemble(g *graph.Graph, inducer *graph.Inducer, kernels []int32, cover, inKernel, assigned, isFeasible *bitset.Set) Block {
 	nodes := cover.Slice() // ascending: kernels, borders and visited mixed
-	sub, orig := graph.Induced(g, nodes)
+	sub, orig := inducer.Induced(g, nodes)
 	blk := Block{Graph: sub, Orig: orig}
 	for local, global := range orig {
 		switch {

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -189,14 +190,9 @@ func (b *Builder) Build() *Graph {
 		flat[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{offsets: offsets, flat: flat}
-	// Each list was filled in two passes (smaller endpoints first from the
-	// sorted edge order, then larger); sort per node to guarantee order.
-	for v := int32(0); v < int32(b.n); v++ {
-		adj := g.flat[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-	}
-	return g
+	// Lists come out ascending: with edges sorted by (U, V), each node gets
+	// its smaller neighbours first (ascending U), then its larger (ascending V).
+	return &Graph{offsets: offsets, flat: flat}
 }
 
 // FromEdges builds a graph with n nodes from an edge list, normalising as
@@ -228,24 +224,76 @@ func Complete(n int) *Graph {
 // Induced returns the subgraph of g induced by nodes, relabelled to dense
 // IDs 0..len(nodes)-1 in the order given, together with origIDs such that
 // origIDs[newID] is the node's identifier in g. Duplicate entries in nodes
-// are ignored after the first occurrence.
+// are ignored after the first occurrence. When nodes is ascending the local
+// adjacency lists come out sorted without a sort.
+//
+// Induced allocates a position table of g.N() entries per call; a caller
+// that induces many subgraphs holds one Inducer instead.
 func Induced(g *Graph, nodes []int32) (sub *Graph, origIDs []int32) {
-	newID := make(map[int32]int32, len(nodes))
+	var in Inducer
+	return in.Induced(g, nodes)
+}
+
+// Inducer is reusable scratch for Induced: a position table indexed by
+// global node ID that is −1 everywhere between calls, so one call costs
+// O(len(nodes) + the selected nodes' degrees) regardless of g.N(). The zero
+// value is ready to use and serves graphs of any size. An Inducer is not
+// safe for concurrent use; give each goroutine its own.
+type Inducer struct {
+	pos []int32 // pos[v] is v's local ID during a call, −1 otherwise
+}
+
+// Induced is the package-level Induced using in's position table. When
+// nodes is ascending, the relabelling is monotone and every local list is
+// written in sorted order straight into the result; otherwise each local
+// list is sorted after it is filled.
+func (in *Inducer) Induced(g *Graph, nodes []int32) (sub *Graph, origIDs []int32) {
+	if len(in.pos) < g.N() {
+		in.pos = make([]int32, g.N())
+		for i := range in.pos {
+			in.pos[i] = -1
+		}
+	}
+	pos := in.pos
 	origIDs = make([]int32, 0, len(nodes))
+	ascending := true
 	for _, v := range nodes {
-		if _, dup := newID[v]; dup {
+		if pos[v] >= 0 {
 			continue
 		}
-		newID[v] = int32(len(origIDs))
+		if k := len(origIDs); k > 0 && v < origIDs[k-1] {
+			ascending = false
+		}
+		pos[v] = int32(len(origIDs))
 		origIDs = append(origIDs, v)
 	}
-	b := NewBuilder(len(origIDs))
-	for nu, u := range origIDs {
+
+	offsets := make([]int32, len(origIDs)+1)
+	for i, u := range origIDs {
+		deg := int32(0)
 		for _, w := range g.Neighbors(u) {
-			if nw, ok := newID[w]; ok && int32(nu) < nw {
-				b.AddEdge(int32(nu), nw)
+			if pos[w] >= 0 {
+				deg++
 			}
 		}
+		offsets[i+1] = offsets[i] + deg
 	}
-	return b.Build(), origIDs
+	flat := make([]int32, offsets[len(origIDs)])
+	for i, u := range origIDs {
+		j := offsets[i]
+		for _, w := range g.Neighbors(u) {
+			if p := pos[w]; p >= 0 {
+				flat[j] = p
+				j++
+			}
+		}
+		if !ascending {
+			slices.Sort(flat[offsets[i]:j])
+		}
+	}
+
+	for _, v := range origIDs {
+		pos[v] = -1
+	}
+	return &Graph{offsets: offsets, flat: flat}, origIDs
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -230,8 +232,43 @@ func TestQuickBuildConsistency(t *testing.T) {
 	}
 }
 
-// Property: Induced preserves exactly the edges with both endpoints selected.
+// checkInduced reports how sub, orig = Induced(g, sel) departs from the
+// HasEdge reference, or "" when it matches: orig is sel without repeats in
+// first-occurrence order, and each local list equals the strictly ascending
+// list of selected neighbours, so an unsorted list or a phantom edge fails.
+func checkInduced(g *Graph, sel []int32, sub *Graph, orig []int32) string {
+	var want []int32
+	seen := map[int32]bool{}
+	for _, v := range sel {
+		if !seen[v] {
+			seen[v] = true
+			want = append(want, v)
+		}
+	}
+	if !slices.Equal(orig, want) || sub.N() != len(want) {
+		return fmt.Sprintf("n=%d orig=%v, want orig=%v", sub.N(), orig, want)
+	}
+	for nu, u := range want {
+		var adj []int32
+		for nv, v := range want {
+			if g.HasEdge(u, v) {
+				adj = append(adj, int32(nv))
+			}
+		}
+		if got := sub.Neighbors(int32(nu)); !slices.Equal(got, adj) {
+			return fmt.Sprintf("local %d (node %d): neighbours %v, want %v", nu, u, got, adj)
+		}
+	}
+	return ""
+}
+
+// Property: Induced keeps exactly the edges with both endpoints selected and
+// writes every local list ascending, for ascending selections and for
+// shuffled ones with repeats. One Inducer serves every graph size and every
+// call, so a table entry left stale by an earlier call would show up as a
+// phantom edge.
 func TestQuickInduced(t *testing.T) {
+	var in Inducer
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(30) + 5
@@ -246,20 +283,26 @@ func TestQuickInduced(t *testing.T) {
 				sel = append(sel, int32(v))
 			}
 		}
-		sub, orig := Induced(g, sel)
-		if sub.N() != len(sel) {
-			return false
+		shuffled := slices.Clone(sel)
+		for i := 0; i < len(sel)/3; i++ {
+			shuffled = append(shuffled, sel[rng.Intn(len(sel))])
 		}
-		for nu := int32(0); nu < int32(sub.N()); nu++ {
-			for nv := nu + 1; nv < int32(sub.N()); nv++ {
-				if sub.HasEdge(nu, nv) != g.HasEdge(orig[nu], orig[nv]) {
-					return false
-				}
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, s := range [][]int32{sel, shuffled, sel} {
+			sub, orig := in.Induced(g, s)
+			if msg := checkInduced(g, s, sub, orig); msg != "" {
+				t.Logf("seed %d, selection %v: %s", seed, s, msg)
+				return false
 			}
+		}
+		sub, orig := Induced(g, shuffled)
+		if msg := checkInduced(g, shuffled, sub, orig); msg != "" {
+			t.Logf("seed %d, package Induced on %v: %s", seed, shuffled, msg)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,6 +36,7 @@ const (
 	CliquesFound                     // cliques emitted by block analysis (pre-filter)
 	HubCliquesFiltered               // hub-side cliques dropped by the Lemma 1 filter
 	FilterNs                         // total Lemma 1 filter time, nanoseconds
+	DecompNs                         // total CUT + BLOCKS + combo-pick time, nanoseconds
 	QueueDepth                       // gauge: blocks queued for analysis right now
 
 	// Block analysis (internal/core executors, internal/cluster worker).
@@ -247,6 +248,7 @@ type Snapshot struct {
 	CliquesFound       int64 `json:"cliques_found"`
 	HubCliquesFiltered int64 `json:"hub_cliques_filtered"`
 	FilterNs           int64 `json:"filter_ns"`
+	DecompNs           int64 `json:"decomp_ns"`
 	QueueDepth         int64 `json:"queue_depth"`
 
 	BlocksAnalyzed int64 `json:"blocks_analyzed"`
@@ -310,6 +312,7 @@ func (s *Snapshot) fields() [numMetrics]*int64 {
 		CliquesFound:            &s.CliquesFound,
 		HubCliquesFiltered:      &s.HubCliquesFiltered,
 		FilterNs:                &s.FilterNs,
+		DecompNs:                &s.DecompNs,
 		QueueDepth:              &s.QueueDepth,
 		BlocksAnalyzed:          &s.BlocksAnalyzed,
 		RecursionNodes:          &s.RecursionNodes,
