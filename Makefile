@@ -59,7 +59,9 @@ vulncheck:
 	fi
 
 # Short pass over each fuzz target (go test -fuzz accepts one target at a
-# time, so they are spelled out).
+# time, so they are spelled out). FuzzBuildRoundTrip's inputs are hundreds
+# of bytes, which the default 60s minimization of each new interesting input
+# would spend the whole pass on; it gets a short minimization budget.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReader -fuzztime=10s ./internal/cliqstore
 	$(GO) test -run=Fuzz -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/gio
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadBoundedAgreesWithLoad -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/runlog
 	$(GO) test -run=Fuzz -fuzz=FuzzIndexOpen -fuzztime=10s ./internal/cliqdb
+	$(GO) test -run=Fuzz -fuzz=FuzzBuildRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/cliqdb
 	$(GO) test -run=Fuzz -fuzz=FuzzInduced -fuzztime=10s ./internal/graph
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and

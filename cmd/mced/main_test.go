@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +19,9 @@ import (
 
 	"mce/internal/cliqdb"
 	"mce/internal/cliqstore"
+	"mce/internal/community"
+	"mce/internal/gen"
+	"mce/internal/mcealg"
 )
 
 // TestRefusesCheckpointSegments pins the startup guard: -segments pointed
@@ -229,6 +234,41 @@ func TestResultsTruncatedAtMaxResults(t *testing.T) {
 	}
 }
 
+// TestCommunitiesMatchWholeFamily pins that /v1/communities, which decodes
+// only the cliques the size index lists for k, answers exactly what
+// percolation over the index's whole clique family gives — including the
+// tie order of equal-size communities.
+func TestCommunitiesMatchWholeFamily(t *testing.T) {
+	cliques, err := mcealg.Collect(gen.HolmeKim(300, 5, 0.6, 7), mcealg.Combo{Alg: mcealg.BKPivot, Struct: mcealg.BitSets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "hk.cliqdb")
+	if _, err := cliqdb.Build(cliques, path); err != nil {
+		t.Fatal(err)
+	}
+	db, err := cliqdb.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{cfg: serverConfig{maxResults: 1 << 20}}
+	for k := 2; k <= 6; k++ {
+		got := s.communities(context.Background(), db, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/communities?k=%d", k), nil))
+		comms, err := community.Detect(db.Cliques(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := make([]communityJSON, len(comms))
+		for i, c := range comms {
+			list[i] = communityJSON{Nodes: c.Nodes, Cliques: c.Cliques, MaxCliqueSize: c.MaxCliqueSize}
+		}
+		want := jsonResult(map[string]any{"k": k, "total": len(list), "truncated": false, "communities": list})
+		if got.status != http.StatusOK || !bytes.Equal(got.body, want.body) {
+			t.Fatalf("k=%d: status %d, body differs from whole-family percolation\ngot  %.300s\nwant %.300s", k, got.status, got.body, want.body)
+		}
+	}
+}
+
 // TestSelfHealsCorruptIndexAtStartup flips a byte in the live index and
 // asserts the daemon, given the segment directory, rebuilds and serves
 // correct answers instead of failing to start.
@@ -333,7 +373,6 @@ func (s *slowDB) NumVertices() int32                         { return 1 << 20 }
 func (s *slowDB) NumCliques() int                            { return 1 }
 func (s *slowDB) CliqueSize(uint32) int                      { return 2 }
 func (s *slowDB) Digest() uint32                             { return 0 }
-func (s *slowDB) Cliques() [][]int32                         { return [][]int32{{0, 1}} }
 func (s *slowDB) AppendClique(dst []int32, _ uint32) []int32 { return append(dst, 0, 1) }
 
 //lint:ignore ctxplumb the sleep is the test fixture: cancellation is exercised one layer up, by the server's per-request deadline around this call
@@ -343,6 +382,7 @@ func (s *slowDB) AppendCliquesOf(dst []uint32, _ int32) []uint32 {
 }
 func (s *slowDB) AppendCommonCliques(dst []uint32, _, _ int32) []uint32 { return append(dst, 0) }
 func (s *slowDB) AppendTopK(dst []uint32, _ int) []uint32               { return append(dst, 0) }
+func (s *slowDB) AppendMinSize(dst []uint32, _ int) []uint32            { return append(dst, 0) }
 
 // TestOverloadShedsWith429 drives far more concurrency than -max-inflight
 // allows and asserts the contract under overload: excess load is shed with

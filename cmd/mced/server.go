@@ -30,7 +30,7 @@ type queryDB interface {
 	AppendCliquesOf(dst []uint32, v int32) []uint32
 	AppendCommonCliques(dst []uint32, u, v int32) []uint32
 	AppendTopK(dst []uint32, k int) []uint32
-	Cliques() [][]int32
+	AppendMinSize(dst []uint32, k int) []uint32
 	Digest() uint32
 }
 
@@ -296,15 +296,29 @@ type communityJSON struct {
 }
 
 // communities serves GET /v1/communities?k=N — k-clique percolation over
-// the whole index. This is the one endpoint that touches every clique, so
-// it is the reason queries carry deadlines.
+// every clique of at least k members. This is the one endpoint that can
+// touch most of the index, so it is the reason queries carry deadlines.
 func (s *server) communities(ctx context.Context, db queryDB, r *http.Request) result {
 	raw := r.URL.Query().Get("k")
 	k, err := strconv.Atoi(raw)
 	if err != nil || k < 2 {
 		return errResult(http.StatusBadRequest, "query parameter %q must be an integer ≥ 2, got %q", "k", raw)
 	}
-	comms, err := community.Detect(db.Cliques(), k)
+	// Percolation only ever uses cliques of at least k members, and the
+	// size index lists exactly those: decode just them into one arena.
+	ids := db.AppendMinSize(nil, k)
+	members := 0
+	for _, id := range ids {
+		members += db.CliqueSize(id)
+	}
+	arena := make([]int32, 0, members)
+	cliques := make([][]int32, len(ids))
+	for i, id := range ids {
+		start := len(arena)
+		arena = db.AppendClique(arena, id)
+		cliques[i] = arena[start:len(arena):len(arena)]
+	}
+	comms, err := community.Detect(cliques, k)
 	if err != nil {
 		return errResult(http.StatusBadRequest, "%v", err)
 	}

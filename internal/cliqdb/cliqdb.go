@@ -2,9 +2,10 @@
 // on-disk index compiled offline from cliqstore segments holding a run's
 // final clique family (the serving segment directory mcefind -index-out
 // writes — a run checkpoint's own segments are level-local resume state and
-// are refused), and opened read-only by the query daemon (cmd/mced). The split mirrors the create-db / search-db shape the ROADMAP
-// names: enumeration is the expensive offline build, queries are cheap
-// online lookups over a vertex → containing-cliques inverted index plus a
+// are refused), and opened read-only by the query daemon (cmd/mced). The
+// split mirrors the create-db / search-db shape the ROADMAP names:
+// enumeration is the expensive offline build, queries are cheap online
+// lookups over a vertex → containing-cliques inverted index plus a
 // size-ordered index for top-k and community percolation.
 //
 // Robustness is the design center, not an afterthought:
@@ -15,12 +16,19 @@
 //   - Every section is length-prefixed and CRC-32 framed, the footer that
 //     locates the sections is itself CRC-framed, and the file ends in a
 //     trailer magic; a bit flip or truncation anywhere is detected at Open.
-//   - Open verifies structure, not just bytes: every clique must decode
-//     exactly within its offset span in canonical order, every posting list
-//     must agree with the cliques it indexes (checked by streaming cursors,
-//     O(index size)), the size index must be the exact (size desc, id asc)
-//     permutation, and the recomputed content digest must match the header.
-//     A DB that opens cannot serve wrong data from a corrupt file.
+//   - Open verifies structure, not just bytes, in one pass over VPST and
+//     one over CLIQ: every posting list must decode exactly within its span,
+//     ascending and in range, and position a cursor; every clique must then
+//     decode exactly within its offset span in canonical order while each
+//     member's cursor yields exactly that clique, and every cursor must end
+//     drained — so postings agree with cliques in O(index size). The size
+//     index must be the exact (size desc, id asc) permutation, and the
+//     recomputed content digest must match the header. A DB that opens
+//     cannot serve wrong data from a corrupt file.
+//   - The compiler runs in linear passes: canonical order by MSD radix
+//     sort over members, the size index by counting sort over clique size,
+//     postings through a flat CSR of clique IDs, and the content digest
+//     hashed in bulk. TestIndexImageGolden pins the bytes it produces.
 //   - The serving segments stay authoritative: OpenOrRebuild answers any
 //     detected corruption (or a missing index) with an automatic recompile
 //     from the segment directory, and the compile is deterministic — same
@@ -57,6 +65,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -309,9 +318,9 @@ func (db *DB) AppendMinSize(dst []uint32, k int) []uint32 {
 	return dst
 }
 
-// Cliques materialises every clique in canonical order. It is the bulk
-// export used by community percolation and by tests; point queries should
-// use AppendClique.
+// Cliques materialises every clique in canonical order — the bulk export
+// for whole-family checks. Point queries should use AppendClique, and
+// community percolation needs only the AppendMinSize candidates.
 func (db *DB) Cliques() [][]int32 {
 	out := make([][]int32, db.nCliques)
 	for id := 0; id < db.nCliques; id++ {
@@ -521,74 +530,9 @@ func verify(payloads [][]byte) (*DB, error) {
 		sizes:    make([]uint32, nCliques),
 	}
 
-	// Pass 1 — cliques: each must decode exactly within its span, members
-	// strictly ascending inside the vertex space, spans contiguous and
-	// exhaustive, canonical (lexicographic, duplicate-free) global order,
-	// and the whole family must hash to the header digest. Per-vertex
-	// posting counts are accumulated for pass 2.
-	crc := crc32.NewIEEE()
-	var hbuf [4]byte
-	counts := make([]uint32, nVerts)
-	prevClique := []int32(nil)
-	scratch := make([]int32, 0, 64)
-	for id := uint64(0); id < nCliques; id++ {
-		lo, hi := u32(coff, int(id)), u32(coff, int(id)+1)
-		if lo > hi || uint64(hi) > uint64(len(cliq)) {
-			return nil, fmt.Errorf("%w: clique %d has offset span [%d,%d)", ErrCorrupt, id, lo, hi)
-		}
-		span := cliq[lo:hi]
-		sz, n := minUvarint(span)
-		if n <= 0 || sz == 0 || sz > uint64(nVerts) {
-			return nil, fmt.Errorf("%w: clique %d has size %d", ErrCorrupt, id, sz)
-		}
-		span = span[n:]
-		scratch = scratch[:0]
-		prev := int64(-1)
-		for i := uint64(0); i < sz; i++ {
-			delta, n := minUvarint(span)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: clique %d truncated mid-member", ErrCorrupt, id)
-			}
-			span = span[n:]
-			v := prev + int64(delta)
-			if i == 0 {
-				v = int64(delta)
-			} else if delta == 0 {
-				return nil, fmt.Errorf("%w: clique %d repeats member %d", ErrCorrupt, id, prev)
-			}
-			if v >= nVerts {
-				return nil, fmt.Errorf("%w: clique %d member %d outside vertex space %d", ErrCorrupt, id, v, nVerts)
-			}
-			counts[v]++
-			scratch = append(scratch, int32(v))
-			prev = v
-		}
-		if len(span) != 0 {
-			return nil, fmt.Errorf("%w: clique %d leaves %d undecoded bytes in its span", ErrCorrupt, id, len(span))
-		}
-		if id > 0 && compareCliques(prevClique, scratch) >= 0 {
-			return nil, fmt.Errorf("%w: clique %d out of canonical order", ErrCorrupt, id)
-		}
-		db.sizes[id] = uint32(sz)
-		binary.LittleEndian.PutUint32(hbuf[:], uint32(sz))
-		crc.Write(hbuf[:])
-		for _, v := range scratch {
-			binary.LittleEndian.PutUint32(hbuf[:], uint32(v))
-			crc.Write(hbuf[:])
-		}
-		prevClique = append(prevClique[:0], scratch...)
-	}
-	if u32(coff, 0) != 0 || u32(coff, int(nCliques)) != uint32(len(cliq)) {
-		return nil, fmt.Errorf("%w: COFF does not cover CLIQ exactly", ErrCorrupt)
-	}
-	if crc.Sum32() != digest {
-		return nil, fmt.Errorf("%w: content digest %#x, header promises %#x", ErrCorrupt, crc.Sum32(), digest)
-	}
-
-	// Pass 2 — postings: every vertex's list must decode exactly within its
-	// span with the promised count, IDs strictly ascending and in range.
-	// Then pass 3 replays the cliques through per-vertex cursors, so each
-	// posting is proven to name exactly the cliques containing its vertex.
+	// Pass 1 — postings: every vertex's list must decode exactly within its
+	// span behind a minimal count prefix, IDs strictly ascending and in
+	// range. Each vertex gets a cursor positioned at its list's head.
 	cursors := make([]postingCursor, nVerts)
 	for v := int64(0); v < nVerts; v++ {
 		lo, hi := u32(voff, int(v)), u32(voff, int(v)+1)
@@ -597,10 +541,9 @@ func verify(payloads [][]byte) (*DB, error) {
 		}
 		span := vpst[lo:hi]
 		count, n := minUvarint(span)
-		if n <= 0 || count != uint64(counts[v]) {
-			return nil, fmt.Errorf("%w: vertex %d posting claims %d cliques, cliques hold it %d times", ErrCorrupt, v, count, counts[v])
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: vertex %d posting has no count", ErrCorrupt, v)
 		}
-		cur := postingCursor{b: span[n:], left: count, head: true}
 		rest := span[n:]
 		last := int64(-1)
 		for i := uint64(0); i < count; i++ {
@@ -623,22 +566,80 @@ func verify(payloads [][]byte) (*DB, error) {
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("%w: vertex %d posting leaves %d undecoded bytes", ErrCorrupt, v, len(rest))
 		}
-		cursors[v] = cur
+		cursors[v] = postingCursor{b: span[n:], left: count, head: true}
 	}
 	if int64(u32(voff, 0)) != 0 || u32(voff, int(nVerts)) != uint32(len(vpst)) {
 		return nil, fmt.Errorf("%w: VOFF does not cover VPST exactly", ErrCorrupt)
 	}
+
+	// Pass 2 — cliques, decoded once: each must decode exactly within its
+	// span, members strictly ascending inside the vertex space, spans
+	// contiguous and exhaustive, canonical (lexicographic, duplicate-free)
+	// global order, and the whole family must hash to the header digest.
+	// Every member advances its vertex's cursor, which must yield exactly
+	// this clique; with every cursor drained at the end, each membership
+	// appears in exactly one posting and each posting entry names a clique
+	// that holds its vertex.
+	var content digester
+	prevClique := make([]int32, 0, 64)
+	clique := make([]int32, 0, 64)
 	for id := uint64(0); id < nCliques; id++ {
-		scratch = db.AppendClique(scratch[:0], uint32(id))
-		for _, v := range scratch {
-			got, ok := cursors[v].next()
-			if !ok || uint64(got) != id {
+		lo, hi := u32(coff, int(id)), u32(coff, int(id)+1)
+		if lo > hi || uint64(hi) > uint64(len(cliq)) {
+			return nil, fmt.Errorf("%w: clique %d has offset span [%d,%d)", ErrCorrupt, id, lo, hi)
+		}
+		span := cliq[lo:hi]
+		sz, n := minUvarint(span)
+		if n <= 0 || sz == 0 || sz > uint64(nVerts) {
+			return nil, fmt.Errorf("%w: clique %d has size %d", ErrCorrupt, id, sz)
+		}
+		span = span[n:]
+		clique = clique[:0]
+		prev := int64(-1)
+		for i := uint64(0); i < sz; i++ {
+			delta, n := minUvarint(span)
+			if n <= 0 {
+				return nil, fmt.Errorf("%w: clique %d truncated mid-member", ErrCorrupt, id)
+			}
+			span = span[n:]
+			v := prev + int64(delta)
+			if i == 0 {
+				v = int64(delta)
+			} else if delta == 0 {
+				return nil, fmt.Errorf("%w: clique %d repeats member %d", ErrCorrupt, id, prev)
+			}
+			if v >= nVerts {
+				return nil, fmt.Errorf("%w: clique %d member %d outside vertex space %d", ErrCorrupt, id, v, nVerts)
+			}
+			if got, ok := cursors[v].next(); !ok || uint64(got) != id {
 				return nil, fmt.Errorf("%w: vertex %d posting disagrees with clique %d", ErrCorrupt, v, id)
 			}
+			clique = append(clique, int32(v))
+			prev = v
+		}
+		if len(span) != 0 {
+			return nil, fmt.Errorf("%w: clique %d leaves %d undecoded bytes in its span", ErrCorrupt, id, len(span))
+		}
+		if id > 0 && slices.Compare(prevClique, clique) >= 0 {
+			return nil, fmt.Errorf("%w: clique %d out of canonical order", ErrCorrupt, id)
+		}
+		db.sizes[id] = uint32(sz)
+		content.add(clique)
+		prevClique, clique = clique, prevClique
+	}
+	if u32(coff, 0) != 0 || u32(coff, int(nCliques)) != uint32(len(cliq)) {
+		return nil, fmt.Errorf("%w: COFF does not cover CLIQ exactly", ErrCorrupt)
+	}
+	if sum := content.sum(); sum != digest {
+		return nil, fmt.Errorf("%w: content digest %#x, header promises %#x", ErrCorrupt, sum, digest)
+	}
+	for v := range cursors {
+		if cursors[v].left != 0 {
+			return nil, fmt.Errorf("%w: vertex %d posting names %d cliques that do not hold it", ErrCorrupt, v, cursors[v].left)
 		}
 	}
 
-	// Pass 4 — size index: exactly the (size desc, id asc) permutation.
+	// Pass 3 — size index: exactly the (size desc, id asc) permutation.
 	seen := make([]bool, nCliques)
 	for i := uint64(0); i < nCliques; i++ {
 		id := u32(size, int(i))
@@ -655,28 +656,4 @@ func verify(payloads [][]byte) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// compareCliques orders cliques lexicographically over their ascending
-// members, shorter-prefix first — the canonical index order.
-func compareCliques(a, b []int32) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestRoundTripQueries(t *testing.T) {
 	// Every clique must be retrievable, and the set must match the input.
 	got := db.Cliques()
 	want := append([][]int32{}, cliques...)
-	sort.Slice(want, func(i, j int) bool { return compareCliques(want[i], want[j]) < 0 })
+	slices.SortFunc(want, slices.Compare)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Cliques() = %v, want %v", got, want)
 	}
@@ -468,6 +469,7 @@ func TestBuildRejectsMalformedCliques(t *testing.T) {
 		{{3, 2}},
 		{{1, 1}},
 		{{-1, 2}},
+		{{0, math.MaxInt32}}, // would make the vertex space 2^31, past int32
 	} {
 		if _, err := Build(bad, filepath.Join(dir, "bad.mcdb")); err == nil {
 			t.Fatalf("Build(%v) succeeded", bad)

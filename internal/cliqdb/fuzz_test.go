@@ -2,8 +2,11 @@ package cliqdb
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -103,6 +106,89 @@ func FuzzIndexOpen(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatal("verified image is not the canonical encoding of its own content")
+		}
+	})
+}
+
+// fuzzFamily maps bytes to a clique family built to stress the canonical
+// sort. data[0] picks a member stride (1 to 256, so key ranges run from
+// dense to far sparser than a bucket). Every following 3-byte record
+// ctl, lo, hi is one clique whose members are stride times the set bits of
+// the 16-bit mask lo|hi<<8 — few distinct first members, so large buckets
+// share long prefixes. ctl additionally emits the clique's longest proper
+// prefix (bit 0, a prefix pair such as {1,2} and {1,2,3}), an exact
+// duplicate (bit 1) and the single-member clique of its first member
+// (bit 2). The largest member is always at nVerts-1 by construction.
+func fuzzFamily(data []byte) [][]int32 {
+	if len(data) == 0 {
+		return nil
+	}
+	stride := int32(1) << (data[0] % 9)
+	var family [][]int32
+	for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+		ctl, mask := rec[0], uint16(rec[1])|uint16(rec[2])<<8
+		var c []int32
+		for bit := int32(0); bit < 16; bit++ {
+			if mask&(1<<bit) != 0 {
+				c = append(c, bit*stride)
+			}
+		}
+		if len(c) == 0 {
+			continue
+		}
+		family = append(family, c)
+		if ctl&1 != 0 && len(c) > 1 {
+			family = append(family, c[:len(c)-1])
+		}
+		if ctl&2 != 0 {
+			family = append(family, slices.Clone(c))
+		}
+		if ctl&4 != 0 {
+			family = append(family, c[:1])
+		}
+	}
+	return family
+}
+
+// FuzzBuildRoundTrip differentially tests the compiler's radix canonical
+// order and counting-sort SIZE permutation against comparison-sort oracles:
+// whatever family the bytes describe, the compiled image must open, hold
+// exactly the sorted, deduplicated family in that order, and list clique
+// IDs in the stable (size desc) order.
+func FuzzBuildRoundTrip(f *testing.F) {
+	f.Add([]byte{0, 1, 0x07, 0, 3, 0x03, 0, 7, 0x00, 0x80, 0x00})
+	rng := rand.New(rand.NewSource(1))
+	for _, stride := range []byte{0, 3, 8} {
+		seed := []byte{stride}
+		for i := 0; i < 150; i++ {
+			seed = append(seed, byte(rng.Intn(8)), byte(rng.Intn(256)), byte(rng.Intn(4)))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		family := fuzzFamily(data)
+		image, st, err := encode(family)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		db, err := openBytes(image)
+		if err != nil {
+			t.Fatalf("openBytes rejected a fresh image: %v", err)
+		}
+		want := slices.Clone(family)
+		slices.SortFunc(want, slices.Compare)
+		want = slices.CompactFunc(want, slices.Equal)
+		got := db.Cliques()
+		if st.Cliques != len(want) || !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("index holds %v, want %v", got, want)
+		}
+		order := make([]uint32, len(want))
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(len(want[b]), len(want[a])) })
+		if top := db.AppendTopK(nil, len(want)); !slices.Equal(top, order) {
+			t.Fatalf("SIZE order %v, want %v", top, order)
 		}
 	})
 }

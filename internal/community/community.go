@@ -12,8 +12,9 @@
 package community
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Community is one overlapping community: the union of the nodes of a
@@ -29,7 +30,7 @@ type Community struct {
 
 // Detect runs k-clique percolation over a family of maximal cliques (as
 // produced by the enumeration engine). Cliques smaller than k are ignored.
-// Communities are returned largest-first, ties by first node.
+// Communities are returned largest-first, ties by ascending node list.
 func Detect(cliques [][]int32, k int) ([]Community, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("community: k = %d, want ≥ 2", k)
@@ -87,14 +88,19 @@ func Detect(cliques [][]int32, k int) ([]Community, error) {
 		for v := range members {
 			nodes = append(nodes, v)
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 		out = append(out, Community{Nodes: nodes, Cliques: len(ids), MaxCliqueSize: maxSize})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Nodes) != len(out[j].Nodes) {
-			return len(out[i].Nodes) > len(out[j].Nodes)
-		}
-		return out[i].Nodes[0] < out[j].Nodes[0]
+	// Communities overlap, so two of one size can share their first node;
+	// the full node lists (then the remaining fields) break the tie,
+	// keeping the order independent of map iteration.
+	slices.SortFunc(out, func(a, b Community) int {
+		return cmp.Or(
+			cmp.Compare(len(b.Nodes), len(a.Nodes)),
+			slices.Compare(a.Nodes, b.Nodes),
+			cmp.Compare(a.Cliques, b.Cliques),
+			cmp.Compare(a.MaxCliqueSize, b.MaxCliqueSize),
+		)
 	})
 	return out, nil
 }

@@ -100,6 +100,34 @@ func TestCommunitiesSortedBySize(t *testing.T) {
 	}
 }
 
+// TestTiedCommunitiesDeterministic pins the tie order of equal-size
+// communities that share their smallest node: {0,1,2,3} and {0,4,5,6} both
+// have four nodes and start at 0, so only the full node list orders them.
+// Detect walks maps internally; the answer must not depend on that walk or
+// on the input order.
+func TestTiedCommunitiesDeterministic(t *testing.T) {
+	family := [][]int32{{0, 1, 2}, {1, 2, 3}, {0, 4, 5}, {4, 5, 6}}
+	want := "0,1,2,3|0,4,5,6"
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		in := append([][]int32(nil), family...)
+		if i%2 == 1 {
+			rng.Shuffle(len(in), func(a, b int) { in[a], in[b] = in[b], in[a] })
+		}
+		cs, err := Detect(in, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := make([]string, len(cs))
+		for j, c := range cs {
+			parts[j] = key(c.Nodes)
+		}
+		if got := strings.Join(parts, "|"); got != want {
+			t.Fatalf("call %d on %v: communities %s, want %s", i, in, got, want)
+		}
+	}
+}
+
 func TestMembershipOverlap(t *testing.T) {
 	cs, err := Detect([][]int32{{0, 1, 2}, {2, 3, 4}}, 3)
 	if err != nil {
